@@ -1,7 +1,8 @@
 // Parallel sharded analysis throughput: replays a Figure-3-scale streaming
 // capture (the saturating network receive run far past the 16K one-shot
-// RAM, drained bank by bank) through the serial StreamingDecoder and
-// through the ParallelAnalyzer at 1/2/4/8 workers, reporting the
+// RAM, drained bank by bank) through the StreamingDecoder (inline replay)
+// and through the ParallelAnalyzer at 1/2/4/8 workers (1 is inline replay
+// too; more shard the replay across a pool), reporting the
 // wall-clock distribution, the speedup table and a machine-readable
 // BENCH_parallel_analysis.json. Every parallel decode is checked
 // byte-identical to the serial one before its time is counted.
@@ -107,7 +108,7 @@ int Run() {
     results.push_back(res);
   }
 
-  std::printf("\n  planner cut the capture into %zu shards\n", shards);
+  std::printf("\n  sharded replay cut the capture into %zu shards\n", shards);
   json.AddScalar("shards_planned", static_cast<double>(shards), "shards");
   std::printf("  speedup vs serial (p50):\n");
   for (const JobsResult& res : results) {

@@ -1,12 +1,12 @@
 #include "src/analysis/decoder.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
-
-#include <cstdio>
-#include <cstdlib>
+#include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/thread_pool.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/usec_timer.h"
 
@@ -14,89 +14,332 @@ namespace hwprof {
 
 namespace {
 
-// One reconstructed event before tree building.
-struct DecodedEvent {
-  Nanoseconds t = 0;
-  const TagEntry* entry = nullptr;  // never null here (unknowns are filtered)
-  bool is_exit = false;
-};
-
-// Stalled-window compaction threshold: processed events are erased from the
+// Stalled-window compaction threshold: decided events are erased from the
 // front of the buffer once this many accumulate while later events wait on
 // lookahead.
 constexpr std::size_t kCompactThreshold = 4096;
 
+// Folds one completed call into a per-function stats map. Sums and min/max
+// commute, so folds may happen in any order.
+void FoldNode(const CallNode& n, std::map<std::string, FuncStats>* pf,
+              Nanoseconds* idle) {
+  FuncStats& s = (*pf)[n.fn->name];
+  const Nanoseconds net = n.Net();
+  if (s.calls == 0) {
+    s.min_net = net;
+    s.max_net = net;
+  } else {
+    s.min_net = std::min(s.min_net, net);
+    s.max_net = std::max(s.max_net, net);
+  }
+  ++s.calls;
+  s.elapsed += n.Elapsed();
+  s.net += net;
+  if (n.fn->kind == TagKind::kContextSwitch) {
+    s.context_switch = true;
+    *idle += net;
+  }
+}
+
+void CombineStats(const std::map<std::string, FuncStats>& part,
+                  std::map<std::string, FuncStats>* into) {
+  for (const auto& [name, s] : part) {
+    FuncStats& d = (*into)[name];
+    if (d.calls == 0) {
+      d = s;
+      continue;
+    }
+    d.calls += s.calls;
+    d.net += s.net;
+    d.elapsed += s.elapsed;
+    d.min_net = std::min(d.min_net, s.min_net);
+    d.max_net = std::max(d.max_net, s.max_net);
+    d.context_switch = d.context_switch || s.context_switch;
+  }
+}
+
+// --- The op script -----------------------------------------------------------
+// The matcher's decisions, one op per structural effect. Replay is a
+// straight loop with no matching logic.
+
+enum OpFlags : std::uint8_t {
+  kOpForced = 1,       // close was a mismatch-recovery force-close
+  kOpCtxSwitchIn = 2,  // this close resumes a different context
+};
+
+enum class OpKind : std::uint8_t {
+  kOpen,         // push a call frame on the current stack
+  kOpenInline,   // single-event marker node under the current stack's top
+  kClose,        // pop `stack`'s innermost frame (emits a step)
+  kFinishClose,  // end-of-trace truncation close (no step, no charge)
+  kSetCurrent,   // interval attribution switches to `stack`
+  kAdvance,      // no structural effect; advances the attribution clock
+};
+
+struct Op {
+  Nanoseconds t = 0;
+  const TagEntry* fn = nullptr;
+  std::uint32_t node = 0;  // global node id (stable across shards)
+  std::int32_t stack = 0;
+  OpKind kind = OpKind::kAdvance;
+  std::uint8_t flags = 0;
+};
+
+// One open call frame, as the matcher tracks it.
+struct ChainFrame {
+  const TagEntry* fn = nullptr;
+  std::uint32_t node = 0;
+};
+
+// The matcher state a replay starts from. Chains are stored sparsely: only
+// stacks with open frames appear, so snapshot cost scales with open work,
+// not with every context the capture ever created.
+struct ChainSnapshot {
+  Nanoseconds last_time = 0;
+  int current = 0;
+  std::vector<std::pair<int, std::vector<ChainFrame>>> chains;
+};
+
+// --- Replay ------------------------------------------------------------------
+// The only place that builds: CallNode allocation, per-interval attribution
+// to the running context's open chain, step emission, and the fold of each
+// call as it closes. A replay seeded with open chains (a shard after the
+// first) stands in for them with placeholder nodes that Assemble grafts back.
+
+class Replayer {
+ public:
+  struct Frame {
+    CallNode* node = nullptr;
+    std::uint32_t id = 0;
+    bool own = false;  // opened in this replay (not a placeholder)
+  };
+  // Per stack touched: a synthetic local root, whose children are the
+  // placeholder chain head (if any) followed by new top-level calls.
+  struct LocalStack {
+    int id = 0;
+    std::unique_ptr<CallNode> root;
+    std::vector<Frame> chain;
+  };
+  struct Placeholder {
+    std::uint32_t node = 0;
+    CallNode* ptr = nullptr;
+  };
+
+  // `retain` keeps the call trees and the step list; otherwise every call is
+  // folded and freed as it closes, so memory is bounded by stack depth.
+  Replayer(bool retain, ChainSnapshot seed)
+      : retain_(retain), seed_(std::move(seed)), last_t_(seed_.last_time) {
+    cur_ = &StackFor(seed_.current);
+  }
+
+  void Apply(const Op& op) {
+    if (op.kind == OpKind::kFinishClose) {
+      Close(StackFor(op.stack), op);
+      return;
+    }
+    // Charge the interval since the previous op to the running context: net
+    // to its innermost open call, elapsed to every open call on its stack. A
+    // call whose process is switched out accumulates nothing while off-CPU
+    // (the paper's per-activity-block rule); time with no open call (user
+    // mode / unprofiled code) stays unattributed.
+    const Nanoseconds interval = op.t - last_t_;
+    last_t_ = op.t;
+    if (interval != 0 && !cur_->chain.empty()) {
+      cur_->chain.back().node->net_acc += interval;
+      for (const Frame& f : cur_->chain) {
+        f.node->elapsed_acc += interval;
+      }
+    }
+    switch (op.kind) {
+      case OpKind::kSetCurrent:
+        cur_ = &StackFor(op.stack);
+        break;
+      case OpKind::kOpen:
+      case OpKind::kOpenInline:
+        Open(op, op.kind == OpKind::kOpenInline);
+        break;
+      case OpKind::kClose:
+        // Only the close of a switched-out process's swtch frame names a
+        // stack other than the running one.
+        Close(op.stack == cur_->id ? *cur_ : StackFor(op.stack), op);
+        break;
+      case OpKind::kAdvance:
+      case OpKind::kFinishClose:
+        break;
+    }
+  }
+
+  // Adds everything replayed so far to `into`'s per-function stats and idle
+  // time: closed calls as folded, open ones with their time to date.
+  void StatsSoFar(DecodedTrace* into) const {
+    CombineStats(per_function, &into->per_function);
+    into->idle_time += idle;
+    for (const auto& [sid, ls] : stacks) {
+      for (const Frame& f : ls.chain) {
+        FoldNode(*f.node, &into->per_function, &into->idle_time);
+      }
+    }
+  }
+
+  // Results, read by Assemble.
+  std::unordered_map<int, LocalStack> stacks;
+  std::vector<Placeholder> placeholders;
+  std::vector<TraceStep> steps;
+  // Steps closing a placeholder: only these need their node remapped.
+  std::vector<std::size_t> ph_steps;
+  std::map<std::string, FuncStats> per_function;
+  Nanoseconds idle = 0;
+
+ private:
+  LocalStack& StackFor(int sid) {
+    auto it = stacks.find(sid);
+    if (it != stacks.end()) {
+      return it->second;
+    }
+    LocalStack ls;
+    ls.id = sid;
+    ls.root = std::make_unique<CallNode>();
+    // Replicate the open chain as placeholder nodes so depths, step targets
+    // and attribution all line up.
+    for (const auto& [chain_sid, chain] : seed_.chains) {
+      if (chain_sid != sid) {
+        continue;
+      }
+      CallNode* parent = ls.root.get();
+      for (const ChainFrame& frame : chain) {
+        auto ph = std::make_unique<CallNode>();
+        ph->fn = frame.fn;
+        ph->parent = parent;
+        CallNode* raw = ph.get();
+        parent->children.push_back(std::move(ph));
+        placeholders.push_back(Placeholder{frame.node, raw});
+        ls.chain.push_back(Frame{raw, frame.node, /*own=*/false});
+        parent = raw;
+      }
+      break;
+    }
+    return stacks.emplace(sid, std::move(ls)).first->second;
+  }
+
+  void Open(const Op& op, bool inline_marker) {
+    if (inline_marker && !retain_) {
+      return;  // markers carry no stats; only trees and steps show them
+    }
+    LocalStack& ls = *cur_;
+    auto node = std::make_unique<CallNode>();
+    node->fn = op.fn;
+    node->entry_time = op.t;
+    node->exit_time = op.t;
+    node->inline_marker = inline_marker;
+    node->closed = inline_marker;
+    CallNode* parent = ls.chain.empty() ? ls.root.get() : ls.chain.back().node;
+    node->parent = parent;
+    CallNode* raw = node.get();
+    parent->children.push_back(std::move(node));
+    if (retain_) {
+      TraceStep step;
+      step.t = op.t;
+      step.node = raw;
+      step.depth = static_cast<int>(ls.chain.size());
+      step.stack_id = ls.id;
+      steps.push_back(step);
+    }
+    if (!inline_marker) {
+      ls.chain.push_back(Frame{raw, op.node, /*own=*/true});
+    }
+  }
+
+  void Close(LocalStack& ls, const Op& op) {
+    HWPROF_CHECK(!ls.chain.empty());
+    const Frame f = ls.chain.back();
+    ls.chain.pop_back();
+    CallNode* n = f.node;
+    n->exit_time = op.t;
+    n->closed = true;
+    n->forced_close = op.kind == OpKind::kFinishClose || (op.flags & kOpForced) != 0;
+    if (retain_ && op.kind == OpKind::kClose) {
+      TraceStep step;
+      step.t = op.t;
+      step.node = n;
+      step.is_exit = true;
+      step.depth = static_cast<int>(ls.chain.size());
+      step.stack_id = ls.id;
+      step.context_switch_in = (op.flags & kOpCtxSwitchIn) != 0;
+      if (!f.own) {
+        ph_steps.push_back(steps.size());
+      }
+      steps.push_back(step);
+    }
+    if (!f.own) {
+      return;  // a placeholder: Assemble folds the real node once complete
+    }
+    // Closed calls never accumulate further time: fold now, exactly the
+    // contribution a final tree walk would make.
+    FoldNode(*n, &per_function, &idle);
+    if (!retain_) {
+      // With no markers and no closed siblings kept, the closing call is its
+      // parent's only child; dropping it frees the whole (folded) subtree.
+      HWPROF_CHECK(n->parent->children.back().get() == n);
+      n->parent->children.pop_back();
+    }
+  }
+
+  const bool retain_;
+  const ChainSnapshot seed_;
+  LocalStack* cur_ = nullptr;
+  Nanoseconds last_t_ = 0;
+};
+
 }  // namespace
 
-// The engine behind both decoders. Events arrive through Feed in arbitrary
-// slices; each is time-reconstructed immediately and then decoded as soon as
-// its handling cannot depend on events that have not arrived yet (Undecided
-// below). At Finish the end of the buffer is the end of the trace — the same
-// terminator the one-shot decoder's lookahead scans run into — so any
-// chunking of the same event sequence yields identical decisions.
+// --- The engine --------------------------------------------------------------
+// The matcher is the only place that decides. Events arrive through Feed in
+// arbitrary slices; each is time-reconstructed immediately and then decided
+// as soon as its handling cannot depend on events that have not arrived yet
+// (Undecided below). At Finish the end of the buffer is the end of the
+// trace, so any chunking of the same event sequence yields identical
+// decisions. Each decision becomes ops: inline replay applies them to one
+// Replayer at once; sharded replay buffers them and cuts shards for the pool.
+
 class StreamingDecoder::Impl {
  public:
+  // `jobs` 1 replays inline; anything else shards across that many workers
+  // (0 = ThreadPool::DefaultJobs()), always retaining structure.
   Impl(const TagFile& names, unsigned timer_bits, std::uint64_t timer_clock_hz,
-       StreamingOptions options)
-      : names_(names), timer_(timer_bits, timer_clock_hz), opts_(options) {
+       bool retain, unsigned jobs, std::size_t shard_target_ops)
+      : names_(names), timer_(timer_bits, timer_clock_hz) {
     current_ = NewStack();
-  }
-
-  void Feed(const RawEvent* events, std::size_t count) {
-    FeedWith(count, [events](std::size_t k) { return events[k]; });
-  }
-
-  // Structure-of-arrays entry point for the binary container's decode loop:
-  // the chunk reader hands flat tag/timestamp columns and nothing is ever
-  // zipped into RawEvents on the hot path.
-  void FeedSoA(const std::uint16_t* tags, const std::uint32_t* timestamps,
-               std::size_t count) {
-    FeedWith(count, [tags, timestamps](std::size_t k) {
-      return RawEvent{tags[k], timestamps[k]};
-    });
+    if (jobs == 0) {
+      jobs = ThreadPool::DefaultJobs();
+    }
+    if (jobs == 1) {
+      parts_.push_back(std::make_unique<Replayer>(retain, ChainSnapshot{}));
+      inline_ = parts_.back().get();
+      return;
+    }
+    pool_ = std::make_unique<ThreadPool>(jobs);
+    target_ = std::max<std::size_t>(shard_target_ops, 1);
+    ops_.reserve(target_ + target_ / 4);
+    shard_start_ = Snapshot();
   }
 
   template <typename GetEvent>
   void FeedWith(std::size_t count, GetEvent get) {
     HWPROF_CHECK_MSG(!finished_, "StreamingDecoder: Feed after Finish");
+    OBS_SPAN_BEGIN(feed);
     for (std::size_t k = 0; k < count; ++k) {
-      RawEvent e = get(k);
-      // A stored timestamp above the counter mask cannot have come from the
-      // timer (a flipped high bit, or an upload-path fault). The delta it
-      // implies is impossible; salvage by masking and count the anomaly.
-      if (e.timestamp > timer_.Mask()) {
-        e.timestamp &= timer_.Mask();
-        ++out_.impossible_deltas;
-      }
-      // Absolute-time reconstruction: the timer value is only an interval
-      // counter; consecutive events are less than one wrap apart by hardware
-      // contract, so each delta is (later - earlier) mod 2^bits. Unknown
-      // tags still advance the clock — their cycles happened.
-      if (!have_prev_) {
-        prev_ = e.timestamp;
-        have_prev_ = true;
-      }
-      now_ += timer_.TicksToNs(timer_.TicksBetween(prev_, e.timestamp));
-      prev_ = e.timestamp;
-      const TagEntry* entry = names_.FindByTag(e.tag);
-      if (entry == nullptr) {
-        ++out_.unknown_tags;
-        ++out_.unknown_tag_counts[e.tag];
-        continue;
-      }
-      DecodedEvent ev;
-      ev.t = now_;
-      ev.entry = entry;
-      ev.is_exit = entry->IsFunctionLike() && e.tag == entry->exit_tag();
-      if (known_events_ == 0) {
-        out_.start_time = now_;
-        last_time_ = now_;
-      }
-      out_.end_time = now_;
-      ++known_events_;
-      events_.push_back(ev);
+      Push(get(k));
     }
     Process(/*final=*/false);
+    // Inline replay reports under decode.*, sharded replay under parallel.*.
+    if (pool_ == nullptr) {
+      OBS_SPAN_END(feed, "decode.chunk");
+      OBS_COUNT("decode.chunks", 1);
+      OBS_COUNT("decode.events", count);
+    } else {
+      OBS_SPAN_END(feed, "parallel.feed");
+      OBS_COUNT("parallel.events", count);
+    }
   }
 
   void NoteDropped(std::uint64_t count) {
@@ -118,16 +361,18 @@ class StreamingDecoder::Impl {
     envelope_ = capture_elapsed;
   }
 
-  std::uint64_t events_seen() const { return known_events_; }
+  std::uint64_t events_seen() const { return out_.event_count; }
   std::uint64_t dropped_events() const { return out_.dropped_events; }
   std::size_t pending() const { return events_.size() - head_; }
+  std::size_t shards_planned() const { return pool_ != nullptr ? parts_.size() : 0; }
 
   DecodedTrace SnapshotStats() const {
-    HWPROF_CHECK_MSG(!finished_, "StreamingDecoder: SnapshotStats after Finish");
+    HWPROF_CHECK_MSG(!finished_ && inline_ != nullptr,
+                     "StreamingDecoder: SnapshotStats needs a live inline decode");
     DecodedTrace snap;
     snap.start_time = out_.start_time;
     snap.end_time = out_.end_time;
-    snap.event_count = known_events_;
+    snap.event_count = out_.event_count;
     snap.unknown_tags = out_.unknown_tags;
     snap.orphan_exits = out_.orphan_exits;
     snap.unclosed_entries = out_.unclosed_entries;
@@ -140,31 +385,40 @@ class StreamingDecoder::Impl {
     snap.capture_gaps = out_.capture_gaps;
     snap.corrupt_words = out_.corrupt_words;
     snap.impossible_deltas = out_.impossible_deltas;
-    snap.wrap_ambiguous_gaps = out_.wrap_ambiguous_gaps;
-    snap.unaccounted_time = out_.unaccounted_time;
-    snap.idle_time = out_.idle_time;
-    snap.per_function = out_.per_function;  // calls already pruned, if any
-    for (const auto& stack : out_.stacks) {
-      Accumulate(*stack->root, &snap);
-    }
+    inline_->StatsSoFar(&snap);
     return snap;
   }
 
   DecodedTrace Finish(bool truncated) {
     HWPROF_CHECK_MSG(!finished_, "StreamingDecoder: Finish called twice");
-    finished_ = true;
+    OBS_SPAN_BEGIN(finish);
     Process(/*final=*/true);
-    FinishOpenNodes();
-    for (const auto& stack : out_.stacks) {
-      Accumulate(*stack->root, &out_);
+    finished_ = true;
+    for (const auto& s : stacks_) {
+      while (!s->chain.empty()) {
+        // Truncated capture: close at the last observed instant.
+        const ChainFrame& top = s->chain.back();
+        ++out_.unclosed_entries;
+        ++out_.unclosed_entry_counts[top.fn->name];
+        ++out_.truncated_entry_counts[top.fn->name];
+        Emit(OpKind::kFinishClose, s.get(), out_.end_time, top);
+        s->chain.pop_back();
+      }
+    }
+    if (pool_ != nullptr) {
+      SealShard();
+      pool_->WaitIdle();
+      OBS_SCOPED_SPAN("parallel.merge");
+      Assemble();
+    } else {
+      Assemble();
     }
     out_.truncated = truncated;
-    out_.event_count = known_events_;
     // Wrap-ambiguity check against the host wall-clock envelope: a quiet gap
     // longer than WrapPeriod decodes as a short delta (the "at most one wrap"
     // contract cannot be verified from deltas alone), so the reconstructed
     // span comes up short of the measured capture duration by whole wraps.
-    if (envelope_ > 0 && known_events_ > 0) {
+    if (envelope_ > 0 && out_.event_count > 0) {
       const Nanoseconds span = out_.end_time - out_.start_time;
       if (envelope_ > span) {
         const Nanoseconds missing = envelope_ - span;
@@ -177,11 +431,62 @@ class StreamingDecoder::Impl {
         }
       }
     }
+    RecordDecodeTelemetry(out_);
+    if (pool_ == nullptr) {
+      OBS_SPAN_END(finish, "decode.finish");
+    } else {
+      OBS_SPAN_END(finish, "parallel.finish");
+    }
     return std::move(out_);
   }
 
  private:
-  // --- Decode loop -----------------------------------------------------------
+  struct DecodedEvent {
+    Nanoseconds t = 0;
+    const TagEntry* entry = nullptr;  // never null (unknowns are filtered)
+    bool is_exit = false;
+  };
+  struct PlanStack {
+    int id = 0;
+    std::vector<ChainFrame> chain;  // outermost .. innermost open frames
+    bool suspended = false;
+  };
+
+  void Push(RawEvent e) {
+    // A stored timestamp above the counter mask cannot have come from the
+    // timer (a flipped high bit, or an upload-path fault). The delta it
+    // implies is impossible; salvage by masking and count the anomaly.
+    if (e.timestamp > timer_.Mask()) {
+      e.timestamp &= timer_.Mask();
+      ++out_.impossible_deltas;
+    }
+    // Absolute-time reconstruction: the timer value is only an interval
+    // counter; consecutive events are less than one wrap apart by hardware
+    // contract, so each delta is (later - earlier) mod 2^bits. Unknown tags
+    // still advance the clock — their cycles happened.
+    if (!have_prev_) {
+      prev_ = e.timestamp;
+      have_prev_ = true;
+    }
+    now_ += timer_.TicksToNs(timer_.TicksBetween(prev_, e.timestamp));
+    prev_ = e.timestamp;
+    const TagEntry* entry = names_.FindByTag(e.tag);
+    if (entry == nullptr) {
+      ++out_.unknown_tags;
+      ++out_.unknown_tag_counts[e.tag];
+      return;
+    }
+    DecodedEvent ev;
+    ev.t = now_;
+    ev.entry = entry;
+    ev.is_exit = entry->IsFunctionLike() && e.tag == entry->exit_tag();
+    if (out_.event_count == 0) {
+      out_.start_time = now_;
+    }
+    out_.end_time = now_;
+    ++out_.event_count;
+    events_.push_back(ev);
+  }
 
   void Process(bool final) {
     while (head_ < events_.size()) {
@@ -189,9 +494,10 @@ class StreamingDecoder::Impl {
       if (!final && Undecided(head_, ev)) {
         break;  // everything from here on waits for more of the trace
       }
-      AttributeInterval(ev.t);
+      last_time_ = ev.t;
       StepEvent(ev, head_);
       ++head_;
+      MaybeSeal(/*block_boundary=*/false);
     }
     if (head_ == events_.size()) {
       events_.clear();
@@ -202,31 +508,36 @@ class StreamingDecoder::Impl {
     }
   }
 
+  static const TagEntry* TopFn(const PlanStack* s) {
+    return s->chain.empty() ? nullptr : s->chain.back().fn;
+  }
+
+  // The stack suspended in swtch whose idle window is still open, if any.
+  PlanStack* PendingSwitchOut() const {
+    const bool open = pending_swtch_ != nullptr && TopFn(pending_swtch_) != nullptr &&
+                      TopFn(pending_swtch_)->kind == TagKind::kContextSwitch;
+    return open ? pending_swtch_ : nullptr;
+  }
+
   // True when handling `ev` would consult lookahead whose scan runs past the
   // buffered events without reaching a terminator (chain exhausted, chain
-  // mismatch, or a context switch) — i.e. the one-shot decoder, seeing more
-  // of the trace, could decide differently.
+  // mismatch, or a context switch) — i.e. more of the trace could change
+  // the decision.
   bool Undecided(std::size_t index, const DecodedEvent& ev) const {
     if (!ev.is_exit || ev.entry->kind == TagKind::kInline) {
       return false;
     }
     if (ev.entry->kind == TagKind::kContextSwitch) {
-      // Both HandleSwtchExit paths end in ResolveResumed(index), which
+      // Both HandleSwtchExit paths end in the resume lookahead, which
       // scores suspended stacks from index + 1. On the pending-close path
-      // the outgoing stack's swtch node is closed *before* the scoring, so
+      // the outgoing stack's swtch frame is closed *before* the scoring, so
       // its chain must be judged without its top frame.
-      const ActivityStack* skip_top_of =
-          (pending_swtch_ != nullptr && pending_swtch_->top->fn != nullptr &&
-           pending_swtch_->top->fn->kind == TagKind::kContextSwitch)
-              ? pending_swtch_
-              : nullptr;
-      return !ScoresDecided(index + 1, nullptr, skip_top_of);
+      return !ScoresDecided(index + 1, nullptr, PendingSwitchOut());
     }
     // A normal exit needs lookahead only when its function is not open
     // anywhere on the running stack (HandleExit's suspended-stack fallback).
-    for (const CallNode* n = current_->top; n != nullptr && n->parent != nullptr;
-         n = n->parent) {
-      if (n->fn != nullptr && n->fn->name == ev.entry->name) {
+    for (const ChainFrame& frame : current_->chain) {
+      if (frame.fn == ev.entry) {
         return false;
       }
     }
@@ -236,9 +547,9 @@ class StreamingDecoder::Impl {
   // Whether every suspended stack BestSuspendedMatch would consider has a
   // final score given the events buffered so far.
   bool ScoresDecided(std::size_t from, const TagEntry* require_top,
-                     const ActivityStack* skip_top_of) const {
-    for (const ActivityStack* s : suspend_order_) {
-      if (require_top != nullptr && s->top->fn != require_top) {
+                     const PlanStack* skip_top_of) const {
+    for (const PlanStack* s : suspend_order_) {
+      if (require_top != nullptr && TopFn(s) != require_top) {
         continue;
       }
       bool decided = true;
@@ -250,127 +561,6 @@ class StreamingDecoder::Impl {
     return true;
   }
 
-  void StepEvent(const DecodedEvent& ev, std::size_t index) {
-    const TagEntry* fn = ev.entry;
-
-    if (fn->kind == TagKind::kInline) {
-      OpenNode(current_, fn, ev.t, /*inline_marker=*/true);
-      return;
-    }
-
-    if (!ev.is_exit) {
-      entered_.insert(fn);
-      OpenNode(current_, fn, ev.t, /*inline_marker=*/false);
-      if (fn->kind == TagKind::kContextSwitch) {
-        // The outgoing process is now suspended inside swtch. Idle-window
-        // activity (interrupts) nests under the open swtch node, so the
-        // node's *net* time is pure idle.
-        pending_swtch_ = current_;
-        current_->suspended = true;
-        suspend_order_.push_back(current_);
-        // Interrupt activity is decoded onto the same stack (under the
-        // open swtch node); `current_` stays pointed at it.
-      }
-      return;
-    }
-
-    // Exit event.
-    if (fn->kind == TagKind::kContextSwitch) {
-      HandleSwtchExit(ev, index);
-      return;
-    }
-    HandleExit(ev, index);
-  }
-
-  // --- Tree building ---------------------------------------------------------
-
-  ActivityStack* NewStack() {
-    auto stack = std::make_unique<ActivityStack>();
-    stack->id = static_cast<int>(out_.stacks.size());
-    stack->root = std::make_unique<CallNode>();
-    stack->top = stack->root.get();
-    ActivityStack* s = stack.get();
-    out_.stacks.push_back(std::move(stack));
-    return s;
-  }
-
-  int DepthOf(const CallNode* node) const {
-    int depth = 0;
-    for (const CallNode* p = node->parent; p != nullptr && p->parent != nullptr;
-         p = p->parent) {
-      ++depth;
-    }
-    return depth;
-  }
-
-  CallNode* OpenNode(ActivityStack* stack, const TagEntry* fn, Nanoseconds t,
-                     bool inline_marker) {
-    auto node = std::make_unique<CallNode>();
-    node->fn = fn;
-    node->entry_time = t;
-    node->exit_time = t;
-    node->inline_marker = inline_marker;
-    node->parent = stack->top;
-    CallNode* raw_node = node.get();
-    stack->top->children.push_back(std::move(node));
-    if (!inline_marker) {
-      stack->top = raw_node;
-    } else {
-      raw_node->closed = true;
-    }
-    if (opts_.retain_structure) {
-      TraceStep step;
-      step.t = t;
-      step.node = raw_node;
-      step.is_exit = false;
-      step.depth = DepthOf(raw_node);
-      step.stack_id = stack->id;
-      out_.steps.push_back(step);
-    } else if (inline_marker && raw_node->parent == stack->root.get()) {
-      // Top-level markers carry no stats and would otherwise accumulate.
-      stack->root->children.pop_back();
-      return nullptr;
-    }
-    return raw_node;
-  }
-
-  void CloseTop(ActivityStack* stack, Nanoseconds t, bool forced, bool context_switch_in) {
-    CallNode* node = stack->top;
-    HWPROF_CHECK(node->parent != nullptr);  // never close the synthetic root
-    node->exit_time = t;
-    node->closed = true;
-    node->forced_close = forced;
-    stack->top = node->parent;
-    if (opts_.retain_structure) {
-      TraceStep step;
-      step.t = t;
-      step.node = node;
-      step.is_exit = true;
-      step.depth = DepthOf(node);
-      step.stack_id = stack->id;
-      step.context_switch_in = context_switch_in;
-      out_.steps.push_back(step);
-    } else if (node->parent == stack->root.get()) {
-      PruneRootChild(stack, node);
-    }
-  }
-
-  // Folds a finished top-level call (its whole subtree is closed) into the
-  // running stats and frees it. Closed nodes never accumulate further time,
-  // so this is exactly the contribution the final Aggregate would have made.
-  void PruneRootChild(ActivityStack* stack, CallNode* node) {
-    Accumulate(*node, &out_);
-    auto& kids = stack->root->children;
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      if (it->get() == node) {
-        kids.erase(std::next(it).base());
-        return;
-      }
-    }
-  }
-
-  // --- Context-switch resolution ---------------------------------------------
-
   // Scores how well `s`'s open-frame chain matches the exit sequence in
   // events_[from...]: the number of chain frames (innermost first) that the
   // upcoming exits close, tolerating freshly-opened nested calls, stopping
@@ -379,28 +569,25 @@ class StreamingDecoder::Impl {
   // soaccept...) disambiguate who actually resumed.
   //
   // `skip_top` judges the chain without its innermost frame (used by the
-  // decidedness precheck, which runs before a pending swtch node is closed).
-  // `decided`, when non-null, is cleared if the scan ran off the end of the
-  // buffered events before reaching a terminator — meaning the score could
-  // still change as more of the trace arrives.
-  int MatchScore(const ActivityStack* s, std::size_t from, bool skip_top,
+  // decidedness precheck, which runs before a pending swtch frame is
+  // closed). `decided`, when non-null, is cleared if the scan ran off the
+  // end of the buffered events before reaching a terminator — meaning the
+  // score could still change as more of the trace arrives.
+  int MatchScore(const PlanStack* s, std::size_t from, bool skip_top,
                  bool* decided) const {
-    std::vector<const TagEntry*> chain;
-    const CallNode* start = s->top;
-    if (skip_top && start != nullptr && start->parent != nullptr) {
-      start = start->parent;
+    const std::vector<ChainFrame>& ch = s->chain;
+    std::size_t n = ch.size();
+    if (skip_top && n > 0) {
+      --n;
     }
-    for (const CallNode* n = start; n != nullptr && n->parent != nullptr; n = n->parent) {
-      chain.push_back(n->fn);
-    }
-    if (chain.empty()) {
+    if (n == 0) {
       return -1;
     }
-    std::size_t ci = 0;
+    std::size_t ci = 0;  // chain index, innermost first: ch[n - 1 - ci]
     int depth = 0;
     int score = 0;
     bool terminated = false;
-    for (std::size_t j = from; j < events_.size() && ci < chain.size(); ++j) {
+    for (std::size_t j = from; j < events_.size() && ci < n; ++j) {
       const DecodedEvent& e = events_[j];
       if (e.entry->kind == TagKind::kInline) {
         continue;
@@ -417,7 +604,7 @@ class StreamingDecoder::Impl {
         --depth;  // closes a nested call
         continue;
       }
-      if (e.entry == chain[ci]) {
+      if (e.entry == ch[n - 1 - ci].fn) {
         ++score;
         ++ci;
         continue;
@@ -425,7 +612,7 @@ class StreamingDecoder::Impl {
       terminated = true;  // mismatch against the chain
       break;
     }
-    if (ci >= chain.size()) {
+    if (ci >= n) {
       terminated = true;
     }
     if (!terminated && decided != nullptr) {
@@ -437,13 +624,13 @@ class StreamingDecoder::Impl {
   // Finds the suspended stack best matching the upcoming exits; nullptr if
   // none matches even its top frame. `require_top` restricts candidates to
   // stacks whose innermost open call is that function.
-  ActivityStack* BestSuspendedMatch(std::size_t from, const TagEntry* require_top) {
-    ActivityStack* best = nullptr;
+  PlanStack* BestSuspendedMatch(std::size_t from, const TagEntry* require_top) {
+    PlanStack* best = nullptr;
     int best_score = 0;
     // Most recently suspended wins ties.
     for (auto it = suspend_order_.rbegin(); it != suspend_order_.rend(); ++it) {
-      ActivityStack* s = *it;
-      if (require_top != nullptr && s->top->fn != require_top) {
+      PlanStack* s = *it;
+      if (require_top != nullptr && TopFn(s) != require_top) {
         continue;
       }
       const int score = MatchScore(s, from, /*skip_top=*/false, nullptr);
@@ -455,85 +642,94 @@ class StreamingDecoder::Impl {
     return best;
   }
 
-  void Unsuspend(ActivityStack* s) {
+  void Unsuspend(PlanStack* s) {
     s->suspended = false;
     suspend_order_.erase(std::remove(suspend_order_.begin(), suspend_order_.end(), s),
                          suspend_order_.end());
   }
 
-  void HandleSwtchExit(const DecodedEvent& ev, std::size_t index) {
-    // Close the pending idle window if one is open.
-    if (pending_swtch_ != nullptr && pending_swtch_->top->fn != nullptr &&
-        pending_swtch_->top->fn->kind == TagKind::kContextSwitch) {
-      ActivityStack* outgoing = pending_swtch_;
-      pending_swtch_ = nullptr;
-      CloseTop(outgoing, ev.t, /*forced=*/false, /*context_switch_in=*/true);
-      // `outgoing` remains suspended (its process is still off-CPU); decide
-      // who runs next by one-event lookahead.
-      current_ = ResolveResumed(index);
+  void StepEvent(const DecodedEvent& ev, std::size_t index) {
+    const TagEntry* fn = ev.entry;
+    if (fn->kind == TagKind::kInline) {
+      Emit(OpKind::kOpenInline, current_, ev.t, ChainFrame{fn, next_node_id_++});
       return;
     }
-    // Orphan swtch exit (capture started mid-idle, or a brand-new process's
-    // first switch-in with no prior entry): resolve the resumed context.
-    if (getenv("HWPROF_DECODER_DEBUG")) {
-      fprintf(stderr, "ORPHAN swtch exit t=%llu (cur top=%s, pending=%d)\n",
-              (unsigned long long)ev.t,
-              current_->top->fn ? current_->top->fn->name.c_str() : "<root>",
-              pending_swtch_ != nullptr);
+    if (!ev.is_exit) {
+      entered_.insert(fn);
+      const ChainFrame frame{fn, next_node_id_++};
+      Emit(OpKind::kOpen, current_, ev.t, frame);
+      current_->chain.push_back(frame);
+      if (fn->kind == TagKind::kContextSwitch) {
+        // The outgoing process is now suspended inside swtch. Idle-window
+        // activity (interrupts) nests under the open swtch frame on the
+        // same stack, so the swtch call's *net* time is pure idle.
+        pending_swtch_ = current_;
+        current_->suspended = true;
+        suspend_order_.push_back(current_);
+      }
+      return;
     }
-    NoteOrphanExit(ev.entry);
-    current_ = ResolveResumed(index);
+    if (fn->kind == TagKind::kContextSwitch) {
+      HandleSwtchExit(ev, index);
+      return;
+    }
+    HandleExit(ev, index);
   }
 
-  ActivityStack* ResolveResumed(std::size_t swtch_index) {
+  void HandleSwtchExit(const DecodedEvent& ev, std::size_t index) {
+    if (PlanStack* outgoing = PendingSwitchOut()) {
+      // Close the idle window. `outgoing` stays suspended (its process is
+      // still off-CPU).
+      pending_swtch_ = nullptr;
+      Close(outgoing, ev.t, kOpCtxSwitchIn);
+    } else {
+      // Orphan swtch exit (capture started mid-idle, or a brand-new
+      // process's first switch-in with no prior entry).
+      NoteOrphanExit(ev.entry);
+    }
     // Lookahead: match suspended stacks against the exit sequence that
     // follows the switch-in. No match (the following events are entries, or
     // belong to nobody) means a fresh context — a newly created process
     // "returning from swtch" for the first time. Later unmatched exits can
     // still re-attach to suspended stacks (HandleExit's fallback).
-    if (ActivityStack* s = BestSuspendedMatch(swtch_index + 1, nullptr)) {
+    if (PlanStack* s = BestSuspendedMatch(index + 1, nullptr)) {
       Unsuspend(s);
-      return s;
+      current_ = s;
+    } else {
+      current_ = NewStack();
     }
-    return NewStack();
+    Emit(OpKind::kSetCurrent, current_, ev.t);
+    MaybeSeal(/*block_boundary=*/true);
   }
 
   void HandleExit(const DecodedEvent& ev, std::size_t index) {
-    // Normal case: the exit matches the innermost open call.
-    if (current_->top->fn != nullptr && current_->top->fn->name == ev.entry->name) {
-      CloseTop(current_, ev.t, /*forced=*/false, /*context_switch_in=*/false);
-      return;
-    }
-    // An exit for a function open deeper on this stack: missed exits in
-    // between (should not happen with compiler-generated triggers, but the
-    // analyser tolerates it) — force-close down to the match.
-    for (CallNode* n = current_->top; n != nullptr && n->parent != nullptr; n = n->parent) {
-      if (n->fn != nullptr && n->fn->name == ev.entry->name) {
-        while (current_->top != n) {
-          if (current_->top->fn != nullptr) {
-            ++out_.unclosed_entry_counts[current_->top->fn->name];
-          }
-          CloseTop(current_, ev.t, /*forced=*/true, /*context_switch_in=*/false);
+    // Normally the exit matches the innermost open call. One open deeper on
+    // this stack means missed exits in between (should not happen with
+    // compiler-generated triggers, but the analyser tolerates it):
+    // force-close down to the match.
+    std::vector<ChainFrame>& ch = current_->chain;
+    for (std::size_t p = ch.size(); p-- > 0;) {
+      if (ch[p].fn == ev.entry) {
+        while (ch.size() - 1 > p) {
+          ++out_.unclosed_entry_counts[ch.back().fn->name];
           ++out_.unclosed_entries;
+          Close(current_, ev.t, kOpForced);
         }
-        CloseTop(current_, ev.t, /*forced=*/false, /*context_switch_in=*/false);
+        Close(current_, ev.t, 0);
         return;
       }
     }
-    // Not on this stack: an implicitly resumed context (we chose a fresh
-    // stack at the context switch and this exit belongs to the real one).
-    if (ActivityStack* s = BestSuspendedMatch(index, ev.entry)) {
+    // Not on this stack: an implicitly resumed context (a fresh stack was
+    // chosen at the context switch and this exit belongs to the real one).
+    if (PlanStack* s = BestSuspendedMatch(index, ev.entry)) {
       Unsuspend(s);
       current_ = s;
-      CloseTop(current_, ev.t, /*forced=*/false, /*context_switch_in=*/true);
+      Emit(OpKind::kSetCurrent, s, ev.t);
+      Close(s, ev.t, kOpCtxSwitchIn);
       return;
     }
-    if (getenv("HWPROF_DECODER_DEBUG")) {
-      fprintf(stderr, "ORPHAN exit %s t=%llu (cur top=%s)\n", ev.entry->name.c_str(),
-              (unsigned long long)ev.t,
-              current_->top->fn ? current_->top->fn->name.c_str() : "<root>");
-    }
     NoteOrphanExit(ev.entry);
+    Emit(OpKind::kAdvance, current_, ev.t);
   }
 
   // An orphan exit of a function never entered earlier in the trace is the
@@ -547,98 +743,208 @@ class StreamingDecoder::Impl {
     }
   }
 
-  // --- Accounting ------------------------------------------------------------
+  PlanStack* NewStack() {
+    auto s = std::make_unique<PlanStack>();
+    s->id = static_cast<int>(stacks_.size());
+    stacks_.push_back(std::move(s));
+    return stacks_.back().get();
+  }
 
-  // Charges the interval since the previous event to the running context:
-  // net to the innermost open call, elapsed to every open call on its
-  // stack. Time with no open call (user mode / unprofiled code) is left
-  // unattributed, as on the real system.
-  void AttributeInterval(Nanoseconds now) {
-    const Nanoseconds interval = now - last_time_;
-    last_time_ = now;
-    if (interval == 0 || current_ == nullptr) {
+  void Emit(OpKind kind, const PlanStack* s, Nanoseconds t,
+            const ChainFrame& frame = ChainFrame{}, std::uint8_t flags = 0) {
+    Op op;
+    op.t = t;
+    op.fn = frame.fn;
+    op.node = frame.node;
+    op.stack = s->id;
+    op.kind = kind;
+    op.flags = flags;
+    if (inline_ != nullptr) {
+      inline_->Apply(op);
+    } else {
+      ops_.push_back(op);
+    }
+  }
+
+  void Close(PlanStack* s, Nanoseconds t, std::uint8_t flags) {
+    HWPROF_CHECK(!s->chain.empty());
+    Emit(OpKind::kClose, s, t, s->chain.back(), flags);
+    s->chain.pop_back();
+  }
+
+  // --- Sharding, merge and finish ---------------------------------------------
+
+  ChainSnapshot Snapshot() const {
+    ChainSnapshot snap;
+    snap.last_time = last_time_;
+    snap.current = current_->id;
+    for (const auto& s : stacks_) {
+      if (!s->chain.empty()) {
+        snap.chains.emplace_back(s->id, s->chain);
+      }
+    }
+    return snap;
+  }
+
+  // Called after each decided event. Preferred cut: between activity
+  // blocks, right after a context switch resolves. But a saturating
+  // interrupt-driven capture can run one context for the entire trace, so a
+  // block that overruns the target 2x is cut mid-block (never while a switch
+  // is half-resolved). Replay is seeded with the open-chain snapshot, so the
+  // output never depends on where the cut falls — the target only shapes
+  // shard granularity.
+  void MaybeSeal(bool block_boundary) {
+    if (pool_ != nullptr && ops_.size() >= target_ &&
+        (block_boundary || (pending_swtch_ == nullptr && ops_.size() >= 2 * target_))) {
+      SealShard();
+    }
+  }
+
+  void SealShard() {
+    if (ops_.empty()) {
       return;
     }
-    CallNode* top = current_->top;
-    if (top->parent == nullptr) {
-      return;  // nothing open: unattributed time
-    }
-    top->net_acc += interval;
-    for (CallNode* n = top; n != nullptr && n->parent != nullptr; n = n->parent) {
-      n->elapsed_acc += interval;
-    }
-  }
-
-  void FinishOpenNodes() {
-    for (const auto& stack : out_.stacks) {
-      while (stack->top != stack->root.get()) {
-        // Truncated capture: close at the last observed instant.
-        CallNode* node = stack->top;
-        node->exit_time = out_.end_time;
-        node->closed = true;
-        node->forced_close = true;
-        stack->top = node->parent;
-        ++out_.unclosed_entries;
-        if (node->fn != nullptr) {
-          ++out_.unclosed_entry_counts[node->fn->name];
-          ++out_.truncated_entry_counts[node->fn->name];
+    auto ops = std::make_shared<std::vector<Op>>(std::move(ops_));
+    ops_.clear();
+    ops_.reserve(target_ + target_ / 4);
+    parts_.push_back(std::make_unique<Replayer>(
+        /*retain=*/true, std::exchange(shard_start_, Snapshot())));
+    Replayer* part = parts_.back().get();
+    OBS_COUNT("parallel.shards", 1);
+    OBS_COUNT("parallel.shard_ops", ops->size());
+    OBS_GAUGE_ADD("parallel.queue_depth", 1);
+    pool_->Submit([ops, part] {
+      {
+        OBS_SCOPED_SPAN("parallel.shard_replay");
+        for (const Op& op : *ops) {
+          part->Apply(op);
         }
       }
-    }
+      OBS_GAUGE_ADD("parallel.queue_depth", -1);
+    });
   }
 
-  static void Accumulate(const CallNode& node, DecodedTrace* into) {
-    if (node.fn != nullptr && !node.inline_marker) {
-      FuncStats& stats = into->per_function[node.fn->name];
-      const Nanoseconds net = node.Net();
-      if (stats.calls == 0) {
-        stats.min_net = net;
-        stats.max_net = net;
-      } else {
-        stats.min_net = std::min(stats.min_net, net);
-        stats.max_net = std::max(stats.max_net, net);
-      }
-      ++stats.calls;
-      stats.elapsed += node.Elapsed();
-      stats.net += net;
-      if (node.fn->kind == TagKind::kContextSwitch) {
-        stats.context_switch = true;
-        into->idle_time += net;
-      }
+  // Stitches the replays of consecutive stretches of the op script, in
+  // order, into the final trees, steps and stats.
+  void Assemble() {
+    for (const auto& s : stacks_) {
+      auto stack = std::make_unique<ActivityStack>();
+      stack->id = s->id;
+      stack->root = std::make_unique<CallNode>();
+      stack->top = stack->root.get();
+      stack->suspended = s->suspended;
+      out_.stacks.push_back(std::move(stack));
     }
-    for (const auto& child : node.children) {
-      Accumulate(*child, into);
+    // Calls open across at least one cut, by global id: each later replay's
+    // placeholder contributes its partial accumulators and children.
+    std::unordered_map<std::uint32_t, CallNode*> open_across;
+    // A single replay hands its steps over as they are; several concatenate
+    // in order.
+    const bool concat = parts_.size() > 1;
+    std::size_t total_steps = 0;
+    for (const auto& part : parts_) {
+      total_steps += concat ? part->steps.size() : 0;
+    }
+    out_.steps.reserve(total_steps);
+    for (const auto& part : parts_) {
+      Replayer& r = *part;
+      std::unordered_map<const CallNode*, CallNode*> remap;
+      for (const Replayer::Placeholder& ph : r.placeholders) {
+        remap.emplace(ph.ptr, open_across.at(ph.node));
+      }
+      // Moves `from`'s children under `to`; nested placeholders stay put.
+      auto adopt = [&remap](CallNode* from, CallNode* to) {
+        for (auto& child : from->children) {
+          if (remap.count(child.get()) == 0) {
+            child->parent = to;
+            to->children.push_back(std::move(child));
+          }
+        }
+      };
+      for (const Replayer::Placeholder& ph : r.placeholders) {
+        CallNode* real = remap.at(ph.ptr);
+        real->net_acc += ph.ptr->net_acc;
+        real->elapsed_acc += ph.ptr->elapsed_acc;
+        if (ph.ptr->closed) {
+          real->exit_time = ph.ptr->exit_time;
+          real->closed = true;
+          real->forced_close = ph.ptr->forced_close;
+        }
+        adopt(ph.ptr, real);
+      }
+      for (const auto& [sid, ls] : r.stacks) {
+        adopt(ls.root.get(), out_.stacks[static_cast<std::size_t>(sid)]->root.get());
+        for (const Replayer::Frame& f : ls.chain) {
+          if (f.own) {
+            open_across.emplace(f.id, f.node);
+          }
+        }
+      }
+      // Only placeholder-close steps can reference a node owned by an
+      // earlier replay; every other step's node pointer is already final
+      // (children hold unique_ptrs, so grafting never moves the nodes).
+      for (const std::size_t idx : r.ph_steps) {
+        r.steps[idx].node = remap.at(r.steps[idx].node);
+      }
+      if (concat) {
+        out_.steps.insert(out_.steps.end(), r.steps.begin(), r.steps.end());
+      } else {
+        out_.steps = std::move(r.steps);
+      }
+      CombineStats(r.per_function, &out_.per_function);
+      out_.idle_time += r.idle;
+    }
+    // Cross-cut calls: now that their accumulators are complete, fold each
+    // exactly once.
+    for (const auto& [id, node] : open_across) {
+      FoldNode(*node, &out_.per_function, &out_.idle_time);
     }
   }
 
   const TagFile& names_;
   const UsecTimer timer_;
-  const StreamingOptions opts_;
 
-  DecodedTrace out_;
-  // Pending window: time-reconstructed events not yet folded into the trees.
+  DecodedTrace out_;  // header + anomaly counters; structure comes at Assemble
+  // Pending window: time-reconstructed events not yet decided.
   // events_[0, head_) are done (kept until compaction); the rest wait.
   std::vector<DecodedEvent> events_;
   std::size_t head_ = 0;
-  std::uint64_t known_events_ = 0;
   bool have_prev_ = false;
   std::uint32_t prev_ = 0;
   Nanoseconds now_ = 0;
   Nanoseconds last_time_ = 0;
-  ActivityStack* current_ = nullptr;
-  ActivityStack* pending_swtch_ = nullptr;
-  std::vector<ActivityStack*> suspend_order_;
+
+  std::vector<std::unique_ptr<PlanStack>> stacks_;
+  PlanStack* current_ = nullptr;
+  PlanStack* pending_swtch_ = nullptr;
+  std::vector<PlanStack*> suspend_order_;
   // Functions seen entering at least once; orphan exits of anything else are
   // preopen (the capture began inside the call). TagFile entries are unique
   // per name, so pointer identity suffices.
   std::unordered_set<const TagEntry*> entered_;
   Nanoseconds envelope_ = 0;  // host wall-clock capture duration; 0 = none
   bool finished_ = false;
+  std::uint32_t next_node_id_ = 0;
+
+  // Replay: one inline Replayer, or a pool and one Replayer per shard.
+  std::vector<std::unique_ptr<Replayer>> parts_;
+  Replayer* inline_ = nullptr;
+  std::unique_ptr<ThreadPool> pool_;
+  std::size_t target_ = 0;
+  std::vector<Op> ops_;
+  ChainSnapshot shard_start_;
 };
 
 StreamingDecoder::StreamingDecoder(const TagFile& names, unsigned timer_bits,
                                    std::uint64_t timer_clock_hz, StreamingOptions options)
-    : impl_(std::make_unique<Impl>(names, timer_bits, timer_clock_hz, options)) {}
+    : impl_(std::make_unique<Impl>(names, timer_bits, timer_clock_hz,
+                                   options.retain_structure, /*jobs=*/1, 0)) {}
+
+StreamingDecoder::StreamingDecoder(const TagFile& names, unsigned timer_bits,
+                                   std::uint64_t timer_clock_hz, unsigned jobs,
+                                   std::size_t shard_target_ops)
+    : impl_(std::make_unique<Impl>(names, timer_bits, timer_clock_hz,
+                                   /*retain=*/true, jobs, shard_target_ops)) {}
 
 StreamingDecoder::~StreamingDecoder() = default;
 
@@ -656,23 +962,22 @@ void RecordDecodeTelemetry(const DecodedTrace& decoded) {
 }
 
 void StreamingDecoder::Feed(const RawEvent* events, std::size_t count) {
-  OBS_SCOPED_SPAN("decode.chunk");
-  OBS_COUNT("decode.chunks", 1);
-  OBS_COUNT("decode.events", count);
-  impl_->Feed(events, count);
+  impl_->FeedWith(count, [events](std::size_t k) { return events[k]; });
 }
 
 void StreamingDecoder::Feed(const std::vector<RawEvent>& events) {
   Feed(events.data(), events.size());
 }
 
+// Structure-of-arrays entry point for the binary container's decode loop:
+// the chunk reader hands flat tag/timestamp columns and nothing is ever
+// zipped into RawEvent arrays on the hot path.
 void StreamingDecoder::FeedSoA(const std::uint16_t* tags,
                                const std::uint32_t* timestamps,
                                std::size_t count) {
-  OBS_SCOPED_SPAN("decode.chunk");
-  OBS_COUNT("decode.chunks", 1);
-  OBS_COUNT("decode.events", count);
-  impl_->FeedSoA(tags, timestamps, count);
+  impl_->FeedWith(count, [tags, timestamps](std::size_t k) {
+    return RawEvent{tags[k], timestamps[k]};
+  });
 }
 
 void StreamingDecoder::FeedChunk(const TraceChunk& chunk) {
@@ -696,14 +1001,11 @@ std::uint64_t StreamingDecoder::dropped_events() const { return impl_->dropped_e
 
 std::size_t StreamingDecoder::pending() const { return impl_->pending(); }
 
+std::size_t StreamingDecoder::shards_planned() const { return impl_->shards_planned(); }
+
 DecodedTrace StreamingDecoder::SnapshotStats() const { return impl_->SnapshotStats(); }
 
-DecodedTrace StreamingDecoder::Finish(bool truncated) {
-  OBS_SCOPED_SPAN("decode.finish");
-  DecodedTrace decoded = impl_->Finish(truncated);
-  RecordDecodeTelemetry(decoded);
-  return decoded;
-}
+DecodedTrace StreamingDecoder::Finish(bool truncated) { return impl_->Finish(truncated); }
 
 DecodedTrace Decoder::Decode(const RawTrace& raw, const TagFile& names) {
   StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,

@@ -189,8 +189,8 @@ struct DecodedTrace {
 };
 
 // Folds a finished decode's anomaly counters into the pipeline telemetry
-// registry (src/obs) under decode.anomaly.*. Called by both the streaming
-// and parallel engines so --stats reports anomalies whichever path ran.
+// registry (src/obs) under decode.anomaly.*. Every Finish calls it, inline
+// or sharded, so --stats reports anomalies whichever replay ran.
 void RecordDecodeTelemetry(const DecodedTrace& decoded);
 
 class Decoder {
@@ -206,9 +206,9 @@ class Decoder {
 struct StreamingOptions {
   // Keep the full call trees and the chronological step list (what the
   // trace/callgraph/process reports need; batch Decode() sets this). When
-  // false, finished top-level calls are folded into the per-function stats
-  // and freed as the stream advances, so memory is bounded by stack depth
-  // plus the context-switch lookahead window — not by capture length.
+  // false, each call is folded into the per-function stats and freed as it
+  // closes, so memory is bounded by stack depth plus the context-switch
+  // lookahead window — not by capture length.
   bool retain_structure = false;
 };
 
@@ -221,6 +221,12 @@ struct StreamingOptions {
 // resumes) are buffered until enough of the future has arrived to decide
 // exactly as the one-shot decoder would; everything else is decoded as it
 // arrives.
+//
+// This is the one decode engine. A single matcher makes every decision and
+// emits a flat op script (open / close / set-current / advance); a replayer
+// turns the ops into call trees, steps and per-function stats. Here each op
+// is replayed inline as soon as it is decided; ParallelAnalyzer runs the
+// same engine with the ops cut into shards and replayed on a thread pool.
 //
 // Lifetime: `names` must outlive the decoder and any DecodedTrace it emits.
 class StreamingDecoder {
@@ -275,6 +281,14 @@ class StreamingDecoder {
   DecodedTrace Finish(bool truncated = false);
 
  private:
+  friend class ParallelAnalyzer;
+  // Sharded replay for ParallelAnalyzer (see parallel.h): `jobs` workers
+  // (0 = hardware concurrency; 1 = inline), always retaining structure.
+  StreamingDecoder(const TagFile& names, unsigned timer_bits,
+                   std::uint64_t timer_clock_hz, unsigned jobs,
+                   std::size_t shard_target_ops);
+  std::size_t shards_planned() const;
+
   class Impl;
   std::unique_ptr<Impl> impl_;
 };

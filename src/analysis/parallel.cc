@@ -1,949 +1,12 @@
 #include "src/analysis/parallel.h"
 
-#include <algorithm>
-#include <deque>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
-
-#include "src/base/assert.h"
-#include "src/base/thread_pool.h"
-#include "src/obs/telemetry.h"
-#include "src/profhw/usec_timer.h"
-
 namespace hwprof {
-
-namespace {
-
-// One reconstructed event awaiting planning (mirrors the decoder's).
-struct DecodedEvent {
-  Nanoseconds t = 0;
-  const TagEntry* entry = nullptr;
-  bool is_exit = false;
-};
-
-// Must match the StreamingDecoder's compaction discipline so lookahead scans
-// see the same buffer shapes.
-constexpr std::size_t kCompactThreshold = 4096;
-
-// --- The op script -----------------------------------------------------------
-// Everything a shard worker needs: every control decision is already made,
-// replay is a straight loop with no matching logic.
-
-enum OpFlags : std::uint8_t {
-  kOpForced = 1,        // close was a mismatch-recovery force-close
-  kOpCtxSwitchIn = 2,   // this close resumes a different context
-};
-
-enum class OpKind : std::uint8_t {
-  kOpen,         // push a call frame on `stack`
-  kOpenInline,   // single-event marker node under `stack`'s top
-  kClose,        // pop `stack`'s innermost frame (emits a step)
-  kFinishClose,  // end-of-trace truncation close (no step, no charge)
-  kSetCurrent,   // interval attribution switches to `stack`
-  kAdvance,      // no structural effect; advances the attribution clock
-};
-
-struct ShardOp {
-  Nanoseconds t = 0;
-  const TagEntry* fn = nullptr;
-  std::uint32_t node = 0;  // global node id (stable across shards)
-  std::int32_t stack = 0;
-  OpKind kind = OpKind::kAdvance;
-  std::uint8_t flags = 0;
-};
-
-// A frame open at a shard boundary.
-struct ChainFrame {
-  const TagEntry* fn = nullptr;
-  std::uint32_t node = 0;
-};
-
-// The planner state a shard replay starts from. Chains are stored sparsely:
-// only stacks with open frames appear (most discovered contexts have fully
-// closed out), so snapshot cost scales with open work, not with every
-// context the capture ever created.
-struct ShardSnapshot {
-  Nanoseconds last_time = 0;
-  int current = 0;
-  std::vector<std::pair<int, std::vector<ChainFrame>>> chains;
-};
-
-struct PlaceholderRef {
-  int stack = 0;
-  std::uint32_t node = 0;
-  CallNode* ptr = nullptr;
-};
-
-// What one shard worker hands the merge.
-struct ShardResult {
-  // Per stack touched: a synthetic local root; its children are the
-  // placeholder chain head (if any) followed by new top-level calls.
-  std::map<int, std::unique_ptr<CallNode>> roots;
-  std::vector<PlaceholderRef> placeholders;
-  // Nodes opened in this shard and still open at its end (the next shard
-  // sees them as placeholders); merge registers them by id.
-  std::vector<std::pair<std::uint32_t, CallNode*>> open_at_end;
-  std::vector<TraceStep> steps;
-  // Indices of steps whose node is a placeholder (a close of a call opened
-  // in an earlier shard); only these need pointer remapping at merge.
-  std::vector<std::size_t> ph_steps;
-  std::map<std::string, FuncStats> per_function;
-  Nanoseconds idle = 0;
-};
-
-struct ShardTask {
-  std::vector<ShardOp> ops;
-  ShardSnapshot snap;
-};
-
-// Folds one completed call into a per-function stats map — the same update
-// the serial decoder's Accumulate makes, commutative across folds.
-void FoldNode(const CallNode& n, std::map<std::string, FuncStats>* pf,
-              Nanoseconds* idle) {
-  FuncStats& s = (*pf)[n.fn->name];
-  const Nanoseconds net = n.Net();
-  if (s.calls == 0) {
-    s.min_net = net;
-    s.max_net = net;
-  } else {
-    s.min_net = std::min(s.min_net, net);
-    s.max_net = std::max(s.max_net, net);
-  }
-  ++s.calls;
-  s.elapsed += n.Elapsed();
-  s.net += net;
-  if (n.fn->kind == TagKind::kContextSwitch) {
-    s.context_switch = true;
-    *idle += net;
-  }
-}
-
-void CombineStats(const std::map<std::string, FuncStats>& part,
-                  std::map<std::string, FuncStats>* into) {
-  for (const auto& [name, s] : part) {
-    FuncStats& d = (*into)[name];
-    if (d.calls == 0) {
-      d = s;
-      continue;
-    }
-    d.calls += s.calls;
-    d.net += s.net;
-    d.elapsed += s.elapsed;
-    d.min_net = std::min(d.min_net, s.min_net);
-    d.max_net = std::max(d.max_net, s.max_net);
-    d.context_switch = d.context_switch || s.context_switch;
-  }
-}
-
-// --- Shard replay ------------------------------------------------------------
-// Runs on a worker thread. All the per-event heavy lifting lives here: node
-// allocation, O(depth) interval attribution, step emission, stats folds.
-
-struct LocalStack {
-  CallNode* root = nullptr;  // owned by result->roots
-  std::vector<CallNode*> chain;
-  std::vector<std::uint32_t> chain_ids;
-  std::vector<bool> chain_own;  // frame opened in this shard?
-};
-
-void ReplayShard(const ShardTask& task, ShardResult* out) {
-  OBS_SCOPED_SPAN("parallel.shard_replay");
-  std::unordered_map<int, LocalStack> stacks;
-  auto stack_for = [&](int sid) -> LocalStack& {
-    auto it = stacks.find(sid);
-    if (it != stacks.end()) {
-      return it->second;
-    }
-    LocalStack ls;
-    auto root = std::make_unique<CallNode>();
-    ls.root = root.get();
-    out->roots.emplace(sid, std::move(root));
-    // Replicate the open chain as placeholder nodes so depths, step targets
-    // and attribution all line up; the merge grafts their contents onto the
-    // real nodes from the owning shards.
-    for (const auto& [chain_sid, chain] : task.snap.chains) {
-      if (chain_sid != sid) {
-        continue;
-      }
-      CallNode* parent = ls.root;
-      for (const ChainFrame& frame : chain) {
-        auto ph = std::make_unique<CallNode>();
-        ph->fn = frame.fn;
-        ph->parent = parent;
-        CallNode* raw = ph.get();
-        parent->children.push_back(std::move(ph));
-        out->placeholders.push_back(PlaceholderRef{sid, frame.node, raw});
-        ls.chain.push_back(raw);
-        ls.chain_ids.push_back(frame.node);
-        ls.chain_own.push_back(false);
-        parent = raw;
-      }
-      break;
-    }
-    return stacks.emplace(sid, std::move(ls)).first->second;
-  };
-
-  out->steps.reserve(task.ops.size());
-  LocalStack* cur = &stack_for(task.snap.current);
-  Nanoseconds last_t = task.snap.last_time;
-  // The serial decoder's AttributeInterval: net to the innermost open call
-  // of the running context, elapsed to every open call on its stack.
-  auto charge = [&](Nanoseconds t) {
-    const Nanoseconds interval = t - last_t;
-    last_t = t;
-    if (interval == 0 || cur->chain.empty()) {
-      return;
-    }
-    cur->chain.back()->net_acc += interval;
-    for (CallNode* n : cur->chain) {
-      n->elapsed_acc += interval;
-    }
-  };
-
-  // Invariant from the planner: kOpen/kOpenInline/kClose/kAdvance always
-  // target the stack made current by the preceding kSetCurrent, so the replay
-  // tracks `cur` instead of doing a map lookup per op. Only kFinishClose
-  // (end-of-trace truncation) may name an arbitrary stack.
-  for (const ShardOp& op : task.ops) {
-    if (op.kind != OpKind::kFinishClose) {
-      charge(op.t);
-    }
-    switch (op.kind) {
-      case OpKind::kSetCurrent:
-        cur = &stack_for(op.stack);
-        break;
-      case OpKind::kAdvance:
-        break;
-      case OpKind::kOpen: {
-        LocalStack& ls = *cur;
-        auto node = std::make_unique<CallNode>();
-        node->fn = op.fn;
-        node->entry_time = op.t;
-        node->exit_time = op.t;
-        CallNode* parent = ls.chain.empty() ? ls.root : ls.chain.back();
-        node->parent = parent;
-        CallNode* raw = node.get();
-        parent->children.push_back(std::move(node));
-        TraceStep step;
-        step.t = op.t;
-        step.node = raw;
-        step.is_exit = false;
-        step.depth = static_cast<int>(ls.chain.size());
-        step.stack_id = op.stack;
-        out->steps.push_back(step);
-        ls.chain.push_back(raw);
-        ls.chain_ids.push_back(op.node);
-        ls.chain_own.push_back(true);
-        break;
-      }
-      case OpKind::kOpenInline: {
-        LocalStack& ls = *cur;
-        auto node = std::make_unique<CallNode>();
-        node->fn = op.fn;
-        node->entry_time = op.t;
-        node->exit_time = op.t;
-        node->inline_marker = true;
-        node->closed = true;
-        CallNode* parent = ls.chain.empty() ? ls.root : ls.chain.back();
-        node->parent = parent;
-        CallNode* raw = node.get();
-        parent->children.push_back(std::move(node));
-        TraceStep step;
-        step.t = op.t;
-        step.node = raw;
-        step.is_exit = false;
-        step.depth = static_cast<int>(ls.chain.size());
-        step.stack_id = op.stack;
-        out->steps.push_back(step);
-        break;
-      }
-      case OpKind::kClose:
-      case OpKind::kFinishClose: {
-        LocalStack& ls =
-            op.kind == OpKind::kClose ? *cur : stack_for(op.stack);
-        HWPROF_CHECK(!ls.chain.empty());
-        CallNode* n = ls.chain.back();
-        n->exit_time = op.t;
-        n->closed = true;
-        n->forced_close =
-            op.kind == OpKind::kFinishClose || (op.flags & kOpForced) != 0;
-        const bool own = ls.chain_own.back();
-        if (op.kind == OpKind::kClose) {
-          TraceStep step;
-          step.t = op.t;
-          step.node = n;
-          step.is_exit = true;
-          step.depth = static_cast<int>(ls.chain.size()) - 1;
-          step.stack_id = op.stack;
-          step.context_switch_in = (op.flags & kOpCtxSwitchIn) != 0;
-          if (!own) {
-            out->ph_steps.push_back(out->steps.size());
-          }
-          out->steps.push_back(step);
-        }
-        ls.chain.pop_back();
-        ls.chain_ids.pop_back();
-        ls.chain_own.pop_back();
-        if (own) {
-          // Closed nodes never accumulate further time: fold now, exactly
-          // the contribution the serial final tree walk would have made.
-          FoldNode(*n, &out->per_function, &out->idle);
-        }
-        break;
-      }
-    }
-  }
-
-  for (auto& [sid, ls] : stacks) {
-    (void)sid;
-    for (std::size_t i = 0; i < ls.chain.size(); ++i) {
-      if (ls.chain_own[i]) {
-        out->open_at_end.emplace_back(ls.chain_ids[i], ls.chain[i]);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-// --- The shard planner -------------------------------------------------------
-// A port of StreamingDecoder::Impl's control flow onto cheap frame chains:
-// identical matching, lookahead and anomaly decisions (the differential test
-// fuzzes this equivalence), but no trees, no attribution, no stats — it only
-// emits the op script and counters.
-
-class ParallelAnalyzer::Impl {
- public:
-  Impl(const TagFile& names, unsigned timer_bits, std::uint64_t timer_clock_hz,
-       ParallelOptions options)
-      : names_(names),
-        timer_(timer_bits, timer_clock_hz),
-        opts_(options),
-        pool_(options.jobs == 0 ? ThreadPool::DefaultJobs() : options.jobs) {
-    if (opts_.shard_target_ops == 0) {
-      opts_.shard_target_ops = 1;
-    }
-    ops_.reserve(opts_.shard_target_ops + opts_.shard_target_ops / 4);
-    current_ = NewStack();
-    shard_start_snap_ = CaptureSnapshot();
-  }
-
-  void Feed(const RawEvent* events, std::size_t count) {
-    FeedWith(count, [events](std::size_t k) { return events[k]; });
-  }
-
-  // SoA twin of Feed for the binary container's chunk reader (identical
-  // semantics; the differential contract covers both entry points).
-  void FeedSoA(const std::uint16_t* tags, const std::uint32_t* timestamps,
-               std::size_t count) {
-    FeedWith(count, [tags, timestamps](std::size_t k) {
-      return RawEvent{tags[k], timestamps[k]};
-    });
-  }
-
-  template <typename GetEvent>
-  void FeedWith(std::size_t count, GetEvent get) {
-    HWPROF_CHECK_MSG(!finished_, "ParallelAnalyzer: Feed after Finish");
-    for (std::size_t k = 0; k < count; ++k) {
-      RawEvent e = get(k);
-      // Mirrors the StreamingDecoder's impossible-delta salvage: a stored
-      // timestamp above the counter mask is masked and counted.
-      if (e.timestamp > timer_.Mask()) {
-        e.timestamp &= timer_.Mask();
-        ++out_.impossible_deltas;
-      }
-      if (!have_prev_) {
-        prev_ = e.timestamp;
-        have_prev_ = true;
-      }
-      now_ += timer_.TicksToNs(timer_.TicksBetween(prev_, e.timestamp));
-      prev_ = e.timestamp;
-      const TagEntry* entry = names_.FindByTag(e.tag);
-      if (entry == nullptr) {
-        ++out_.unknown_tags;
-        ++out_.unknown_tag_counts[e.tag];
-        continue;
-      }
-      DecodedEvent ev;
-      ev.t = now_;
-      ev.entry = entry;
-      ev.is_exit = entry->IsFunctionLike() && e.tag == entry->exit_tag();
-      if (known_events_ == 0) {
-        out_.start_time = now_;
-        last_time_ = now_;
-      }
-      out_.end_time = now_;
-      ++known_events_;
-      events_.push_back(ev);
-    }
-    Process(/*final=*/false);
-  }
-
-  void NoteDropped(std::uint64_t count) {
-    HWPROF_CHECK_MSG(!finished_, "ParallelAnalyzer: NoteDropped after Finish");
-    if (count == 0) {
-      return;
-    }
-    out_.dropped_events += count;
-    ++out_.capture_gaps;
-  }
-
-  void NoteCorruptWords(std::uint64_t count) {
-    HWPROF_CHECK_MSG(!finished_, "ParallelAnalyzer: NoteCorruptWords after Finish");
-    out_.corrupt_words += count;
-  }
-
-  void SetClockEnvelope(Nanoseconds capture_elapsed) {
-    HWPROF_CHECK_MSG(!finished_, "ParallelAnalyzer: SetClockEnvelope after Finish");
-    envelope_ = capture_elapsed;
-  }
-
-  std::uint64_t events_seen() const { return known_events_; }
-  std::uint64_t dropped_events() const { return out_.dropped_events; }
-  std::size_t shards_planned() const { return results_.size(); }
-
-  DecodedTrace Finish(bool truncated) {
-    HWPROF_CHECK_MSG(!finished_, "ParallelAnalyzer: Finish called twice");
-    finished_ = true;
-    Process(/*final=*/true);
-    FinishOpenNodes();
-    SealShard();
-    pool_.WaitIdle();
-    Merge();
-    out_.truncated = truncated;
-    out_.event_count = known_events_;
-    // Wrap-ambiguity check against the host wall-clock envelope — must make
-    // the same decision, from the same inputs, as the StreamingDecoder.
-    if (envelope_ > 0 && known_events_ > 0) {
-      const Nanoseconds span = out_.end_time - out_.start_time;
-      if (envelope_ > span) {
-        const Nanoseconds missing = envelope_ - span;
-        const Nanoseconds wrap = timer_.WrapPeriod();
-        const std::uint64_t missed =
-            wrap > 0 ? static_cast<std::uint64_t>(missing / wrap) : 0;
-        if (missed > 0) {
-          out_.wrap_ambiguous_gaps += missed;
-          out_.unaccounted_time = missing;
-        }
-      }
-    }
-    RecordDecodeTelemetry(out_);
-    return std::move(out_);
-  }
-
- private:
-  struct PlanStack {
-    int id = 0;
-    std::vector<ChainFrame> chain;  // outermost .. innermost open frames
-    bool suspended = false;
-  };
-
-  // --- Planning loop ---------------------------------------------------------
-
-  void Process(bool final) {
-    while (head_ < events_.size()) {
-      const DecodedEvent ev = events_[head_];
-      if (!final && Undecided(head_, ev)) {
-        break;
-      }
-      last_time_ = ev.t;
-      block_boundary_ = false;
-      StepEvent(ev, head_);
-      ++head_;
-      // Preferred cut: between activity blocks, right after a context switch
-      // resolves. But a saturating interrupt-driven capture can run one
-      // context for the entire trace, so a block that overruns the target 2x
-      // is cut mid-block (never while a switch is half-resolved). Replay is
-      // seeded with the open-chain snapshot, so the output never depends on
-      // where the cut falls — the target only shapes shard granularity.
-      if (ops_.size() >= opts_.shard_target_ops &&
-          (block_boundary_ ||
-           (pending_swtch_ == nullptr &&
-            ops_.size() >= 2 * opts_.shard_target_ops))) {
-        SealShard();
-      }
-    }
-    if (head_ == events_.size()) {
-      events_.clear();
-      head_ = 0;
-    } else if (head_ >= kCompactThreshold) {
-      events_.erase(events_.begin(),
-                    events_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-  }
-
-  static const TagEntry* TopFn(const PlanStack* s) {
-    return s->chain.empty() ? nullptr : s->chain.back().fn;
-  }
-
-  bool Undecided(std::size_t index, const DecodedEvent& ev) const {
-    if (!ev.is_exit || ev.entry->kind == TagKind::kInline) {
-      return false;
-    }
-    if (ev.entry->kind == TagKind::kContextSwitch) {
-      const PlanStack* skip_top_of =
-          (pending_swtch_ != nullptr && TopFn(pending_swtch_) != nullptr &&
-           TopFn(pending_swtch_)->kind == TagKind::kContextSwitch)
-              ? pending_swtch_
-              : nullptr;
-      return !ScoresDecided(index + 1, nullptr, skip_top_of);
-    }
-    for (auto it = current_->chain.rbegin(); it != current_->chain.rend(); ++it) {
-      if (it->fn == ev.entry) {
-        return false;
-      }
-    }
-    return !ScoresDecided(index, ev.entry, nullptr);
-  }
-
-  bool ScoresDecided(std::size_t from, const TagEntry* require_top,
-                     const PlanStack* skip_top_of) const {
-    for (const PlanStack* s : suspend_order_) {
-      if (require_top != nullptr && TopFn(s) != require_top) {
-        continue;
-      }
-      bool decided = true;
-      MatchScore(s, from, /*skip_top=*/s == skip_top_of, &decided);
-      if (!decided) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  int MatchScore(const PlanStack* s, std::size_t from, bool skip_top,
-                 bool* decided) const {
-    const std::vector<ChainFrame>& ch = s->chain;
-    std::size_t n = ch.size();
-    if (skip_top && n > 0) {
-      --n;
-    }
-    if (n == 0) {
-      return -1;
-    }
-    std::size_t ci = 0;  // chain index, innermost first: ch[n - 1 - ci]
-    int depth = 0;
-    int score = 0;
-    bool terminated = false;
-    for (std::size_t j = from; j < events_.size() && ci < n; ++j) {
-      const DecodedEvent& e = events_[j];
-      if (e.entry->kind == TagKind::kInline) {
-        continue;
-      }
-      if (e.entry->kind == TagKind::kContextSwitch) {
-        terminated = true;
-        break;
-      }
-      if (!e.is_exit) {
-        ++depth;
-        continue;
-      }
-      if (depth > 0) {
-        --depth;
-        continue;
-      }
-      if (e.entry == ch[n - 1 - ci].fn) {
-        ++score;
-        ++ci;
-        continue;
-      }
-      terminated = true;
-      break;
-    }
-    if (ci >= n) {
-      terminated = true;
-    }
-    if (!terminated && decided != nullptr) {
-      *decided = false;
-    }
-    return score;
-  }
-
-  PlanStack* BestSuspendedMatch(std::size_t from, const TagEntry* require_top) {
-    PlanStack* best = nullptr;
-    int best_score = 0;
-    for (auto it = suspend_order_.rbegin(); it != suspend_order_.rend(); ++it) {
-      PlanStack* s = *it;
-      if (require_top != nullptr && TopFn(s) != require_top) {
-        continue;
-      }
-      const int score = MatchScore(s, from, /*skip_top=*/false, nullptr);
-      if (score > best_score) {
-        best = s;
-        best_score = score;
-      }
-    }
-    return best;
-  }
-
-  void Unsuspend(PlanStack* s) {
-    s->suspended = false;
-    suspend_order_.erase(
-        std::remove(suspend_order_.begin(), suspend_order_.end(), s),
-        suspend_order_.end());
-  }
-
-  void StepEvent(const DecodedEvent& ev, std::size_t index) {
-    const TagEntry* fn = ev.entry;
-    if (fn->kind == TagKind::kInline) {
-      EmitOpenInline(current_, fn, ev.t);
-      return;
-    }
-    if (!ev.is_exit) {
-      entered_.insert(fn);
-      EmitOpen(current_, fn, ev.t);
-      if (fn->kind == TagKind::kContextSwitch) {
-        pending_swtch_ = current_;
-        current_->suspended = true;
-        suspend_order_.push_back(current_);
-      }
-      return;
-    }
-    if (fn->kind == TagKind::kContextSwitch) {
-      HandleSwtchExit(ev, index);
-      return;
-    }
-    HandleExit(ev, index);
-  }
-
-  void HandleSwtchExit(const DecodedEvent& ev, std::size_t index) {
-    if (pending_swtch_ != nullptr && TopFn(pending_swtch_) != nullptr &&
-        TopFn(pending_swtch_)->kind == TagKind::kContextSwitch) {
-      PlanStack* outgoing = pending_swtch_;
-      pending_swtch_ = nullptr;
-      EmitClose(outgoing, ev.t, /*forced=*/false, /*context_switch_in=*/true);
-      current_ = ResolveResumed(index);
-      EmitSetCurrent(current_, ev.t);
-      block_boundary_ = true;
-      return;
-    }
-    NoteOrphanExit(ev.entry);
-    current_ = ResolveResumed(index);
-    EmitSetCurrent(current_, ev.t);
-    block_boundary_ = true;
-  }
-
-  PlanStack* ResolveResumed(std::size_t swtch_index) {
-    if (PlanStack* s = BestSuspendedMatch(swtch_index + 1, nullptr)) {
-      Unsuspend(s);
-      return s;
-    }
-    return NewStack();
-  }
-
-  void HandleExit(const DecodedEvent& ev, std::size_t index) {
-    std::vector<ChainFrame>& ch = current_->chain;
-    if (!ch.empty() && ch.back().fn == ev.entry) {
-      EmitClose(current_, ev.t, /*forced=*/false, /*context_switch_in=*/false);
-      return;
-    }
-    for (std::size_t p = ch.size(); p-- > 0;) {
-      if (ch[p].fn == ev.entry) {
-        while (ch.size() - 1 > p) {
-          ++out_.unclosed_entry_counts[ch.back().fn->name];
-          ++out_.unclosed_entries;
-          EmitClose(current_, ev.t, /*forced=*/true, /*context_switch_in=*/false);
-        }
-        EmitClose(current_, ev.t, /*forced=*/false, /*context_switch_in=*/false);
-        return;
-      }
-    }
-    if (PlanStack* s = BestSuspendedMatch(index, ev.entry)) {
-      Unsuspend(s);
-      current_ = s;
-      EmitSetCurrent(s, ev.t);
-      EmitClose(s, ev.t, /*forced=*/false, /*context_switch_in=*/true);
-      return;
-    }
-    NoteOrphanExit(ev.entry);
-    EmitAdvance(ev.t);
-  }
-
-  void NoteOrphanExit(const TagEntry* fn) {
-    ++out_.orphan_exits;
-    ++out_.orphan_exit_counts[fn->name];
-    if (entered_.count(fn) == 0) {
-      ++out_.preopen_exit_counts[fn->name];
-    }
-  }
-
-  void FinishOpenNodes() {
-    for (const auto& stack : stacks_) {
-      while (!stack->chain.empty()) {
-        ++out_.unclosed_entries;
-        ++out_.unclosed_entry_counts[stack->chain.back().fn->name];
-        ++out_.truncated_entry_counts[stack->chain.back().fn->name];
-        EmitFinishClose(stack.get(), out_.end_time);
-      }
-    }
-  }
-
-  // --- Op emission -----------------------------------------------------------
-
-  PlanStack* NewStack() {
-    auto s = std::make_unique<PlanStack>();
-    s->id = static_cast<int>(stacks_.size());
-    stacks_.push_back(std::move(s));
-    return stacks_.back().get();
-  }
-
-  void EmitOpen(PlanStack* s, const TagEntry* fn, Nanoseconds t) {
-    ShardOp op;
-    op.t = t;
-    op.fn = fn;
-    op.node = next_node_id_++;
-    op.stack = s->id;
-    op.kind = OpKind::kOpen;
-    ops_.push_back(op);
-    s->chain.push_back(ChainFrame{fn, op.node});
-  }
-
-  void EmitOpenInline(PlanStack* s, const TagEntry* fn, Nanoseconds t) {
-    ShardOp op;
-    op.t = t;
-    op.fn = fn;
-    op.node = next_node_id_++;
-    op.stack = s->id;
-    op.kind = OpKind::kOpenInline;
-    ops_.push_back(op);
-  }
-
-  void EmitClose(PlanStack* s, Nanoseconds t, bool forced, bool context_switch_in) {
-    HWPROF_CHECK(!s->chain.empty());
-    ShardOp op;
-    op.t = t;
-    op.fn = s->chain.back().fn;
-    op.node = s->chain.back().node;
-    op.stack = s->id;
-    op.kind = OpKind::kClose;
-    op.flags = static_cast<std::uint8_t>((forced ? kOpForced : 0) |
-                                         (context_switch_in ? kOpCtxSwitchIn : 0));
-    ops_.push_back(op);
-    s->chain.pop_back();
-  }
-
-  void EmitFinishClose(PlanStack* s, Nanoseconds t) {
-    ShardOp op;
-    op.t = t;
-    op.fn = s->chain.back().fn;
-    op.node = s->chain.back().node;
-    op.stack = s->id;
-    op.kind = OpKind::kFinishClose;
-    ops_.push_back(op);
-    s->chain.pop_back();
-  }
-
-  void EmitSetCurrent(PlanStack* s, Nanoseconds t) {
-    ShardOp op;
-    op.t = t;
-    op.stack = s->id;
-    op.kind = OpKind::kSetCurrent;
-    ops_.push_back(op);
-  }
-
-  void EmitAdvance(Nanoseconds t) {
-    ShardOp op;
-    op.t = t;
-    op.stack = current_->id;
-    op.kind = OpKind::kAdvance;
-    ops_.push_back(op);
-  }
-
-  // --- Shard sealing and merge -----------------------------------------------
-
-  ShardSnapshot CaptureSnapshot() const {
-    ShardSnapshot snap;
-    snap.last_time = last_time_;
-    snap.current = current_->id;
-    for (const auto& s : stacks_) {
-      if (!s->chain.empty()) {
-        snap.chains.emplace_back(s->id, s->chain);
-      }
-    }
-    return snap;
-  }
-
-  void SealShard() {
-    if (ops_.empty()) {
-      return;
-    }
-    auto task = std::make_shared<ShardTask>();
-    task->ops = std::move(ops_);
-    ops_.clear();
-    ops_.reserve(opts_.shard_target_ops + opts_.shard_target_ops / 4);
-    task->snap = std::move(shard_start_snap_);
-    shard_start_snap_ = CaptureSnapshot();
-    results_.push_back(std::make_unique<ShardResult>());
-    ShardResult* slot = results_.back().get();
-    OBS_COUNT("parallel.shards", 1);
-    OBS_COUNT("parallel.shard_ops", task->ops.size());
-    OBS_GAUGE_ADD("parallel.queue_depth", 1);
-    pool_.Submit([task, slot] {
-      ReplayShard(*task, slot);
-      OBS_GAUGE_ADD("parallel.queue_depth", -1);
-    });
-  }
-
-  void Merge() {
-    OBS_SCOPED_SPAN("parallel.merge");
-    for (std::size_t i = 0; i < stacks_.size(); ++i) {
-      auto stack = std::make_unique<ActivityStack>();
-      stack->id = static_cast<int>(i);
-      stack->root = std::make_unique<CallNode>();
-      stack->top = stack->root.get();
-      stack->suspended = stacks_[i]->suspended;
-      out_.stacks.push_back(std::move(stack));
-    }
-    // Nodes open across at least one cut, by global id: each shard's partial
-    // accumulators stitch onto the node from the shard that opened it.
-    std::unordered_map<std::uint32_t, CallNode*> node_map;
-    std::size_t total_steps = 0;
-    for (const auto& result : results_) {
-      total_steps += result->steps.size();
-    }
-    out_.steps.reserve(out_.steps.size() + total_steps);
-    for (const auto& result : results_) {
-      ShardResult& r = *result;
-      std::unordered_set<const CallNode*> ph_set;
-      for (const PlaceholderRef& ph : r.placeholders) {
-        ph_set.insert(ph.ptr);
-      }
-      std::unordered_map<const CallNode*, CallNode*> remap;
-      for (const PlaceholderRef& ph : r.placeholders) {
-        CallNode* real = node_map.at(ph.node);
-        remap.emplace(ph.ptr, real);
-        real->net_acc += ph.ptr->net_acc;
-        real->elapsed_acc += ph.ptr->elapsed_acc;
-        if (ph.ptr->closed) {
-          real->exit_time = ph.ptr->exit_time;
-          real->closed = true;
-          real->forced_close = ph.ptr->forced_close;
-        }
-        for (auto& child : ph.ptr->children) {
-          if (child == nullptr || ph_set.count(child.get()) != 0) {
-            continue;  // nested placeholders stay where they are
-          }
-          child->parent = real;
-          real->children.push_back(std::move(child));
-        }
-      }
-      for (auto& [sid, root] : r.roots) {
-        ActivityStack* gs = out_.stacks[static_cast<std::size_t>(sid)].get();
-        for (auto& child : root->children) {
-          if (child == nullptr || ph_set.count(child.get()) != 0) {
-            continue;
-          }
-          child->parent = gs->root.get();
-          gs->root->children.push_back(std::move(child));
-        }
-      }
-      for (const auto& [id, ptr] : r.open_at_end) {
-        node_map.emplace(id, ptr);
-      }
-      // Only placeholder-close steps can reference a node owned by an earlier
-      // shard; every other step's node pointer is already final (children hold
-      // unique_ptrs, so grafting subtrees never moves the nodes themselves).
-      for (const std::size_t idx : r.ph_steps) {
-        r.steps[idx].node = remap.at(r.steps[idx].node);
-      }
-      out_.steps.insert(out_.steps.end(), r.steps.begin(), r.steps.end());
-      CombineStats(r.per_function, &out_.per_function);
-      out_.idle_time += r.idle;
-    }
-    // Cross-shard calls: now that their accumulators are complete, fold each
-    // exactly once. Sums and min/max commute, so iteration order is free.
-    for (const auto& [id, node] : node_map) {
-      (void)id;
-      FoldNode(*node, &out_.per_function, &out_.idle_time);
-    }
-  }
-
-  const TagFile& names_;
-  const UsecTimer timer_;
-  ParallelOptions opts_;
-  ThreadPool pool_;
-
-  DecodedTrace out_;  // header + anomaly counters; trees arrive at Merge
-  std::vector<DecodedEvent> events_;
-  std::size_t head_ = 0;
-  std::uint64_t known_events_ = 0;
-  bool have_prev_ = false;
-  std::uint32_t prev_ = 0;
-  Nanoseconds now_ = 0;
-  Nanoseconds last_time_ = 0;
-
-  std::vector<std::unique_ptr<PlanStack>> stacks_;
-  PlanStack* current_ = nullptr;
-  PlanStack* pending_swtch_ = nullptr;
-  std::vector<PlanStack*> suspend_order_;
-  std::unordered_set<const TagEntry*> entered_;
-  Nanoseconds envelope_ = 0;  // host wall-clock capture duration; 0 = none
-  bool block_boundary_ = false;
-  bool finished_ = false;
-
-  std::uint32_t next_node_id_ = 0;
-  std::vector<ShardOp> ops_;
-  ShardSnapshot shard_start_snap_;
-  std::deque<std::unique_ptr<ShardResult>> results_;
-};
 
 ParallelAnalyzer::ParallelAnalyzer(const TagFile& names, unsigned timer_bits,
                                    std::uint64_t timer_clock_hz,
                                    ParallelOptions options)
-    : impl_(std::make_unique<Impl>(names, timer_bits, timer_clock_hz, options)) {}
-
-ParallelAnalyzer::~ParallelAnalyzer() = default;
-
-void ParallelAnalyzer::Feed(const RawEvent* events, std::size_t count) {
-  OBS_SCOPED_SPAN("parallel.feed");
-  OBS_COUNT("parallel.events", count);
-  impl_->Feed(events, count);
-}
-
-void ParallelAnalyzer::Feed(const std::vector<RawEvent>& events) {
-  Feed(events.data(), events.size());
-}
-
-void ParallelAnalyzer::FeedSoA(const std::uint16_t* tags,
-                               const std::uint32_t* timestamps,
-                               std::size_t count) {
-  OBS_SCOPED_SPAN("parallel.feed");
-  OBS_COUNT("parallel.events", count);
-  impl_->FeedSoA(tags, timestamps, count);
-}
-
-void ParallelAnalyzer::FeedChunk(const TraceChunk& chunk) {
-  impl_->NoteDropped(chunk.dropped_before);
-  Feed(chunk.events.data(), chunk.events.size());
-}
-
-void ParallelAnalyzer::NoteDropped(std::uint64_t count) { impl_->NoteDropped(count); }
-
-void ParallelAnalyzer::NoteCorruptWords(std::uint64_t count) {
-  impl_->NoteCorruptWords(count);
-}
-
-void ParallelAnalyzer::SetClockEnvelope(Nanoseconds capture_elapsed) {
-  impl_->SetClockEnvelope(capture_elapsed);
-}
-
-std::uint64_t ParallelAnalyzer::events_seen() const { return impl_->events_seen(); }
-
-std::uint64_t ParallelAnalyzer::dropped_events() const {
-  return impl_->dropped_events();
-}
-
-std::size_t ParallelAnalyzer::shards_planned() const {
-  return impl_->shards_planned();
-}
-
-DecodedTrace ParallelAnalyzer::Finish(bool truncated) {
-  OBS_SCOPED_SPAN("parallel.finish");
-  return impl_->Finish(truncated);
-}
+    : StreamingDecoder(names, timer_bits, timer_clock_hz, options.jobs,
+                       options.shard_target_ops) {}
 
 DecodedTrace DecodeParallel(const RawTrace& raw, const TagFile& names,
                             ParallelOptions options) {

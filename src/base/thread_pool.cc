@@ -1,11 +1,11 @@
 #include "src/base/thread_pool.h"
 
+#include "src/base/assert.h"
+
 namespace hwprof {
 
 ThreadPool::ThreadPool(unsigned workers) {
-  if (workers <= 1) {
-    return;  // inline mode
-  }
+  HWPROF_CHECK(workers >= 1);
   threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -24,10 +24,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> job) {
-  if (threads_.empty()) {
-    job();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(job));
@@ -36,9 +32,6 @@ void ThreadPool::Submit(std::function<void()> job) {
 }
 
 void ThreadPool::WaitIdle() {
-  if (threads_.empty()) {
-    return;
-  }
   std::unique_lock<std::mutex> lock(mu_);
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
@@ -66,14 +59,6 @@ void ThreadPool::WorkerLoop() {
       idle_.notify_all();
     }
   }
-}
-
-void ParallelFor(ThreadPool& pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
-  }
-  pool.WaitIdle();
 }
 
 }  // namespace hwprof

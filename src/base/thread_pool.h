@@ -5,12 +5,9 @@
 // decode, report rendering — where determinism is recovered by an
 // order-independent merge, not by execution order.
 //
-// Two deliberate properties:
-//  * `workers == 0` (or 1) runs every job inline on the submitting thread:
-//    `--jobs 1` is a genuinely serial path with zero thread machinery, so
-//    single-threaded equivalence tests exercise the identical code.
-//  * Submission order is preserved per worker pickup but nothing else is
-//    guaranteed; callers must not depend on completion order.
+// Submission order is preserved per worker pickup but nothing else is
+// guaranteed; callers must not depend on completion order. (`--jobs 1`
+// never builds a pool: the decode engine replays inline instead.)
 
 #ifndef HWPROF_SRC_BASE_THREAD_POOL_H_
 #define HWPROF_SRC_BASE_THREAD_POOL_H_
@@ -27,23 +24,18 @@ namespace hwprof {
 
 class ThreadPool {
  public:
-  // `workers` threads are spawned; 0 and 1 both mean "inline mode" (no
-  // threads at all, Submit runs the job before returning).
+  // Spawns `workers` (at least 1) threads.
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues `job`. In inline mode the job runs on the calling thread
-  // before Submit returns.
+  // Enqueues `job` for the next free worker.
   void Submit(std::function<void()> job);
 
   // Blocks until every submitted job has finished. Safe to call repeatedly;
   // the pool remains usable afterwards.
   void WaitIdle();
-
-  // Number of worker threads (0 in inline mode).
-  unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
 
   // `--jobs` default: the hardware concurrency, never less than 1.
   static unsigned DefaultJobs();
@@ -59,12 +51,6 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };
-
-// Runs fn(i) for i in [0, n), spread across the pool, and waits for all of
-// them. The pool must be exclusively the caller's for the duration (WaitIdle
-// is used as the barrier).
-void ParallelFor(ThreadPool& pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace hwprof
 

@@ -1,8 +1,6 @@
 #include "src/kern/net_hosts.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/base/assert.h"
 
@@ -233,10 +231,6 @@ void ReceiverHost::OnFrame(const Bytes& frame) {
     if (drop_every_n_ != 0 && data_segments_ % drop_every_n_ == 0) {
       ++segments_dropped_;
       return;  // pretend it never arrived; the sender must recover
-    }
-    if (getenv("HWPROF_RXHOST_DEBUG")) {
-      fprintf(stderr, "rxhost: seq=%u rcv_nxt=%u len=%zu\n", th.seq, rcv_nxt_,
-              payload.size());
     }
     if (th.seq == rcv_nxt_ && payload.size() <= window_) {
       received_.insert(received_.end(), payload.begin(), payload.end());

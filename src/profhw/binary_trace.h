@@ -26,7 +26,7 @@
 //   chunk payload: record_count records, each
 //     varint(tag) ++ varint((timestamp - prev_timestamp) mod 2^32)
 //   with prev_timestamp starting at 0 for every chunk, so chunks decode
-//   independently — the salvage loader and the shard planner seek to chunk
+//   independently — the salvage loader and sharded replay seek to chunk
 //   boundaries without scanning, and a damaged chunk never poisons its
 //   neighbours.
 //

@@ -98,9 +98,12 @@ StreamingRunResult RunStreamingNetworkReceive(Testbed& tb, Nanoseconds duration,
 
   // The periodic host-side drain, running as a simulated-time event so its
   // bus cycles (and its profdrain triggers) interleave with the workload.
+  // Each scheduled event owns the closure; the closure holds itself only
+  // weakly, so the last pending event frees it (and `result`'s chunks).
   auto stopped = std::make_shared<bool>(false);
   auto drain = std::make_shared<std::function<void()>>();
-  *drain = [&tb, result, drain, drain_period, save, stream_path, stopped] {
+  std::weak_ptr<std::function<void()>> self = drain;
+  *drain = [&tb, result, self, drain_period, save, stream_path, stopped] {
     if (*stopped) {
       return;
     }
@@ -113,8 +116,10 @@ StreamingRunResult RunStreamingNetworkReceive(Testbed& tb, Nanoseconds duration,
       }
       result->chunks.push_back(std::move(chunk));
     }
+    // Running means a pending event holds a strong reference, so this
+    // lock() always succeeds.
     tb.machine().events().ScheduleAt(tb.machine().Now() + drain_period,
-                                     [drain] { (*drain)(); });
+                                     [drain = self.lock()] { (*drain)(); });
   };
   tb.machine().events().ScheduleAt(tb.machine().Now() + drain_period,
                                    [drain] { (*drain)(); });
@@ -134,7 +139,9 @@ StreamingRunResult RunStreamingNetworkReceive(Testbed& tb, Nanoseconds duration,
     result->events_drained += c.events.size();
     result->events_dropped += c.dropped_before;
   }
-  return *result;
+  // A drain event still pending returns on `stopped` without touching
+  // `result`, so its contents can be moved out.
+  return std::move(*result);
 }
 
 ForkExecResult RunForkExec(Testbed& tb, int iterations, Nanoseconds max_time,

@@ -125,7 +125,8 @@ TEST_F(ObsConcurrencyTest, GaugePeakUnderContentionIsBounded) {
   for (std::thread& w : workers) {
     w.join();
   }
-  const MetricValue* g = GlobalSnapshot().Find("conc.gauge.level");
+  const Snapshot snap = GlobalSnapshot();  // outlives `g`
+  const MetricValue* g = snap.Find("conc.gauge.level");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->value, 0);  // every +1 was matched by a -1
   EXPECT_GE(g->peak, 1);

@@ -45,6 +45,11 @@ std::vector<RawTrace> ReferenceTraces() {
   RawTrace truncated = Trace({{100, 0}, {102, 10}});
   truncated.overflowed = true;
   traces.push_back(truncated);
+  // A suspended process's exit (a) arrives inside another process's idle
+  // window, so the swtch exit that follows closes the idle frame of a stack
+  // that is no longer the running one.
+  traces.push_back(Trace({{100, 0}, {200, 10}, {201, 20}, {102, 30}, {200, 40},
+                          {101, 50}, {201, 60}, {103, 70}}));
   // Two processes ping-ponging: many activity blocks to shard.
   {
     RawTrace t;
@@ -74,7 +79,8 @@ class ParallelFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ParallelFuzzTest, FuzzedTraceMatchesSerialAcrossJobsAndShardSizes) {
   const TagFile& names = MakeNames();
   const RawTrace raw = FuzzTrace(GetParam(), 800);
-  ExpectParallelMatchesSerial(raw, names, "seed " + std::to_string(GetParam()));
+  ExpectParallelMatchesSerial(raw, names, "seed " + std::to_string(GetParam()),
+                              GetParam());
 }
 
 TEST_P(ParallelFuzzTest, ChunkedFeedWithDropsMatchesStreamingDecoder) {
@@ -164,7 +170,8 @@ TEST(ParallelAnalysis, EmptyFeedIsHarmless) {
 // --- ThreadPool ------------------------------------------------------------
 
 TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-  for (unsigned workers : {0u, 1u, 4u}) {
+  EXPECT_GE(ThreadPool::DefaultJobs(), 1u);
+  for (unsigned workers : {1u, 4u}) {
     ThreadPool pool(workers);
     std::atomic<int> sum{0};
     for (int i = 1; i <= 100; ++i) {
@@ -186,24 +193,6 @@ TEST(ThreadPool, WaitIdleIsReusable) {
     pool.WaitIdle();
     EXPECT_EQ(count.load(), 20 * (round + 1));
   }
-}
-
-TEST(ThreadPool, ParallelForCoversTheRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(200);
-  ParallelFor(pool, hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPool, InlineModeHasNoThreads) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.workers(), 0u);
-  bool ran = false;
-  pool.Submit([&ran] { ran = true; });
-  EXPECT_TRUE(ran);  // ran synchronously on this thread
-  EXPECT_GE(ThreadPool::DefaultJobs(), 1u);
 }
 
 }  // namespace

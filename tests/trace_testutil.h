@@ -1,8 +1,8 @@
 // Shared helpers for the differential-equivalence tests: a small names
 // file, adversarial fuzz-trace generators, and a fingerprint that renders
 // EVERY observable of a decoded trace — all four reports plus every counter
-// and attribution map — to one comparable string. Serial, streaming and
-// parallel decodes of the same capture must produce byte-identical
+// and attribution map — to one comparable string. Inline and sharded replay
+// of the same capture, fed in any shape, must produce byte-identical
 // fingerprints; the fuzz suites assert exactly that.
 
 #ifndef HWPROF_TESTS_TRACE_TESTUTIL_H_
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <string>
 #include <type_traits>
@@ -63,18 +64,21 @@ std::string DumpMap(const Map& m) {
   return out;
 }
 
-inline std::string Fingerprint(const DecodedTrace& d) {
+// Everything a decode without retained structure must still get right: the
+// summary, every per-function stat, idle time and every anomaly counter.
+inline std::string StatsFingerprint(const DecodedTrace& d) {
   std::string out = Summary(d).Format(0);
-  out += "\n--callgraph--\n" + CallGraph(d).Format(d);
-  out += "\n--processes--\n" + ProcessReport(d).Format(d);
-  out += "\n--trace--\n" + TraceReport::Format(d);
+  for (const auto& [name, f] : d.per_function) {
+    out += "\n" + name + ":" + std::to_string(f.calls) + "/" + std::to_string(f.net) +
+           "/" + std::to_string(f.elapsed) + "/" + std::to_string(f.min_net) + "/" +
+           std::to_string(f.max_net) + "/" + std::to_string(f.context_switch);
+  }
   out += "\n|events=" + std::to_string(d.event_count);
   out += "|truncated=" + std::to_string(d.truncated);
   out += "|start=" + std::to_string(d.start_time);
   out += "|end=" + std::to_string(d.end_time);
   out += "|idle=" + std::to_string(d.idle_time);
   out += "|stacks=" + std::to_string(d.stacks.size());
-  out += "|steps=" + std::to_string(d.steps.size());
   out += "|unknown=" + std::to_string(d.unknown_tags) + DumpMap(d.unknown_tag_counts);
   out += "|orphan=" + std::to_string(d.orphan_exits) + DumpMap(d.orphan_exit_counts);
   out += "|preopen=" + DumpMap(d.preopen_exit_counts);
@@ -86,6 +90,15 @@ inline std::string Fingerprint(const DecodedTrace& d) {
   out += "|impossible=" + std::to_string(d.impossible_deltas);
   out += "|wrap_ambiguous=" + std::to_string(d.wrap_ambiguous_gaps);
   out += "|unaccounted=" + std::to_string(d.unaccounted_time);
+  return out;
+}
+
+inline std::string Fingerprint(const DecodedTrace& d) {
+  std::string out = StatsFingerprint(d);
+  out += "\n--callgraph--\n" + CallGraph(d).Format(d);
+  out += "\n--processes--\n" + ProcessReport(d).Format(d);
+  out += "\n--trace--\n" + TraceReport::Format(d);
+  out += "\n|steps=" + std::to_string(d.steps.size());
   return out;
 }
 
@@ -143,8 +156,45 @@ inline RawTrace FuzzTrace(std::uint64_t seed, int length) {
   return raw;
 }
 
+// Feeds `raw` to `engine` the way a capture arrives in practice, then
+// finishes: with `split_seed` 0 as one structure-of-arrays column pair (the
+// binary container's path), otherwise in seeded random slices that alternate
+// between the RawEvent and structure-of-arrays entry points.
+template <typename Engine>
+DecodedTrace FeedShaped(Engine& engine, const RawTrace& raw, std::uint64_t split_seed) {
+  std::vector<std::uint16_t> tags;
+  std::vector<std::uint32_t> timestamps;
+  for (const RawEvent& e : raw.events) {
+    tags.push_back(e.tag);
+    timestamps.push_back(e.timestamp);
+  }
+  engine.NoteDropped(raw.dropped_events);
+  engine.SetClockEnvelope(raw.capture_elapsed_ns);
+  Rng rng(split_seed);
+  const std::size_t n = raw.events.size();
+  for (std::size_t at = 0; at < n;) {
+    const std::size_t len =
+        split_seed == 0 ? n : std::min(n - at, std::size_t{1} + rng.NextBelow(97));
+    if (split_seed == 0 || rng.NextBool(0.5)) {
+      engine.FeedSoA(tags.data() + at, timestamps.data() + at, len);
+    } else {
+      engine.Feed(raw.events.data() + at, len);
+    }
+    at += len;
+  }
+  return engine.Finish(raw.overflowed);
+}
+
+// The differential and feed-shape equivalence oracle. The batch decode is
+// the reference; every other way of running the engine must match it:
+//  * sharded replay at several worker counts and shard sizes;
+//  * inline and sharded replay fed one SoA column pair, or a seeded random
+//    mix of RawEvent and SoA slices, with and without timer glitches;
+//  * the bounded-memory decode (retain_structure=false), on everything it
+//    keeps: per-function stats, idle time and the anomaly counters.
 inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& names,
-                                        const std::string& what) {
+                                        const std::string& what,
+                                        std::uint64_t split_seed = 1) {
   const std::string serial = Fingerprint(Decoder::Decode(raw, names));
   for (unsigned jobs : {1u, 2u, 3u, 8u}) {
     for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
@@ -154,6 +204,32 @@ inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& name
       const std::string par = Fingerprint(DecodeParallel(raw, names, opts));
       ASSERT_EQ(par, serial)
           << what << " jobs=" << jobs << " shard_target_ops=" << target;
+    }
+  }
+  // Every feed shape also sees the trace with timer glitches (a stored bit
+  // above the counter mask), which each path must salvage identically.
+  RawTrace glitched = raw;
+  for (std::size_t i = 0; i < glitched.events.size(); i += 37) {
+    glitched.events[i].timestamp |= 1u << 30;
+  }
+  const RawTrace* const traces[] = {&raw, &glitched};
+  for (const RawTrace* trace : traces) {
+    const DecodedTrace batch = Decoder::Decode(*trace, names);
+    const std::string reference = Fingerprint(batch);
+    const std::string label = what + (trace == &glitched ? " (glitched)" : "");
+    for (const std::uint64_t seed : {std::uint64_t{0}, split_seed}) {
+      StreamingDecoder inline_replay(names, trace->timer_bits, trace->timer_clock_hz,
+                                     StreamingOptions{.retain_structure = true});
+      ASSERT_EQ(Fingerprint(FeedShaped(inline_replay, *trace, seed)), reference)
+          << label << " inline replay, split seed " << seed;
+      ParallelAnalyzer sharded(names, trace->timer_bits, trace->timer_clock_hz,
+                               ParallelOptions{.jobs = 3, .shard_target_ops = 16});
+      ASSERT_EQ(Fingerprint(FeedShaped(sharded, *trace, seed)), reference)
+          << label << " sharded replay, split seed " << seed;
+      StreamingDecoder bounded(names, trace->timer_bits, trace->timer_clock_hz,
+                               StreamingOptions{.retain_structure = false});
+      ASSERT_EQ(StatsFingerprint(FeedShaped(bounded, *trace, seed)), StatsFingerprint(batch))
+          << label << " retain_structure=false, split seed " << seed;
     }
   }
 }

@@ -74,19 +74,11 @@ std::uint64_t AnomalyTotal(const DecodedTrace& d) {
          d.MidTraceUnclosedEntries();
 }
 
-// The batch wrappers (Decoder::Decode / DecodeParallel) plus salvage-load
-// corrupt-word accounting, which has to be injected before the feed.
-DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names, bool serial,
-                           unsigned jobs, std::uint64_t corrupt_words) {
-  if (serial) {
-    StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
-                             StreamingOptions{.retain_structure = true});
-    decoder.NoteCorruptWords(corrupt_words);
-    decoder.NoteDropped(raw.dropped_events);
-    decoder.SetClockEnvelope(raw.capture_elapsed_ns);
-    decoder.Feed(raw.events);
-    return decoder.Finish(raw.overflowed);
-  }
+// The batch wrapper (DecodeParallel, which replays inline at one job) plus
+// salvage-load corrupt-word accounting, which has to be injected before the
+// feed.
+DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names, unsigned jobs,
+                           std::uint64_t corrupt_words) {
   ParallelAnalyzer analyzer(names, raw.timer_bits, raw.timer_clock_hz,
                             ParallelOptions{.jobs = jobs});
   analyzer.NoteCorruptWords(corrupt_words);
@@ -102,7 +94,7 @@ DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names, bool seria
 // accounting matches the load-then-decode path exactly (the format-matrix
 // tests pin this). Returns false with `error` set on a load/parse failure.
 bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
-                             bool serial, unsigned jobs, bool salvage,
+                             unsigned jobs, bool salvage,
                              DecodedTrace* decoded, std::string* error) {
   MappedFile file;
   if (!file.Open(path)) {
@@ -126,31 +118,19 @@ bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
     }
     return fail();
   }
-  auto run = [&](auto& engine) {
-    engine.NoteDropped(reader.dropped_events());
-    engine.SetClockEnvelope(reader.capture_elapsed_ns());
-    SoaChunk chunk;
-    while (reader.Next(&chunk)) {
-      if (chunk.dropped_before > 0) {
-        engine.NoteDropped(chunk.dropped_before);
-      }
-      engine.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                     chunk.tags.size());
+  ParallelAnalyzer analyzer(names, reader.timer_bits(), reader.timer_clock_hz(),
+                            ParallelOptions{.jobs = jobs});
+  analyzer.NoteDropped(reader.dropped_events());
+  analyzer.SetClockEnvelope(reader.capture_elapsed_ns());
+  SoaChunk chunk;
+  while (reader.Next(&chunk)) {
+    if (chunk.dropped_before > 0) {
+      analyzer.NoteDropped(chunk.dropped_before);
     }
-    engine.NoteCorruptWords(reader.corrupt_words());
-    *decoded = engine.Finish(reader.overflowed());
-  };
-  if (serial) {
-    StreamingDecoder decoder(names, reader.timer_bits(),
-                             reader.timer_clock_hz(),
-                             StreamingOptions{.retain_structure = true});
-    run(decoder);
-  } else {
-    ParallelAnalyzer analyzer(names, reader.timer_bits(),
-                              reader.timer_clock_hz(),
-                              ParallelOptions{.jobs = jobs});
-    run(analyzer);
+    analyzer.FeedSoA(chunk.tags.data(), chunk.timestamps.data(), chunk.tags.size());
   }
+  analyzer.NoteCorruptWords(reader.corrupt_words());
+  *decoded = analyzer.Finish(reader.overflowed());
   if (!salvage && reader.failed()) {
     return fail();
   }
@@ -166,13 +146,12 @@ bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
 // path, both honouring --jobs/--salvage. Shared by the single-capture
 // reports and both sides of --diff.
 bool DecodeAnyCaptureFile(const std::string& path, const TagFile& names,
-                          bool serial, unsigned jobs, bool salvage,
+                          unsigned jobs, bool salvage,
                           DecodedTrace* decoded, std::string* error) {
   CaptureFileInfo finfo;
   if (DetectCaptureFile(path, &finfo) && finfo.format == CaptureFormat::kBinary &&
       !finfo.is_stream) {
-    return DecodeBinaryCaptureFile(path, names, serial, jobs, salvage, decoded,
-                                   error);
+    return DecodeBinaryCaptureFile(path, names, jobs, salvage, decoded, error);
   }
   RawTrace raw;
   std::vector<TraceDiag> capture_diags;
@@ -189,7 +168,7 @@ bool DecodeAnyCaptureFile(const std::string& path, const TagFile& names,
     std::printf("warning: %s:%d: %s (salvaged)\n", path.c_str(), d.line,
                 d.message.c_str());
   }
-  *decoded = DecodeCapture(raw, names, serial, jobs, corrupt_words);
+  *decoded = DecodeCapture(raw, names, jobs, corrupt_words);
   return true;
 }
 
@@ -284,7 +263,7 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
   bool progress = false;
   bool stats = false;
   bool stats_json = false;
-  // Default 1: live per-chunk summaries need the serial decoder's stats
+  // Default 1: live per-chunk summaries need inline replay's stats
   // snapshot. `--jobs 0` (or >1) hands decided chunks to the worker pool
   // instead and prints the summary once, from the merged final trace.
   unsigned jobs = 1;
@@ -486,7 +465,6 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
   bool gate_edges = true;
   bool json = false;
   unsigned jobs = 0;
-  bool serial = false;
   bool salvage = false;
   for (int i = 5; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -525,7 +503,6 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
         return 2;
       }
       jobs = static_cast<unsigned>(value);
-      serial = (jobs == 1);
     } else if (arg == "--salvage") {
       salvage = true;
     } else {
@@ -548,8 +525,8 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
 
   DecodedTrace baseline;
   DecodedTrace candidate;
-  if (!DecodeAnyCaptureFile(path_a, names, serial, jobs, salvage, &baseline, error) ||
-      !DecodeAnyCaptureFile(path_b, names, serial, jobs, salvage, &candidate, error)) {
+  if (!DecodeAnyCaptureFile(path_a, names, jobs, salvage, &baseline, error) ||
+      !DecodeAnyCaptureFile(path_b, names, jobs, salvage, &candidate, error)) {
     return 1;
   }
 
@@ -604,11 +581,10 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
   }
 
   // `--jobs` and `--salvage` are resolved before decoding; the remaining
-  // options are consumed by the report loop below. `--jobs 1` selects the
-  // serial decoder outright; any other value shards the decode across a
-  // worker pool (0 = hardware concurrency) with byte-identical output.
+  // options are consumed by the report loop below. `--jobs 1` replays the
+  // decode inline; any other value shards the replay across a worker pool
+  // (0 = hardware concurrency) with byte-identical output.
   unsigned jobs = 0;
-  bool serial = false;
   bool salvage = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -616,7 +592,6 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
       std::uint64_t value = 0;
       if (ParseUint(argv[i + 1], &value)) {
         jobs = static_cast<unsigned>(value);
-        serial = (jobs == 1);
       }
     } else if (arg == "--salvage") {
       salvage = true;
@@ -637,8 +612,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     return 1;
   }
   DecodedTrace decoded;
-  if (!DecodeAnyCaptureFile(argv[1], names, serial, jobs, salvage, &decoded,
-                            error)) {
+  if (!DecodeAnyCaptureFile(argv[1], names, jobs, salvage, &decoded, error)) {
     return 1;
   }
   if (decoded.unknown_tags > 0) {

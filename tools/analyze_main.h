@@ -23,8 +23,8 @@ namespace hwprof {
 //                    warned about, counted as corrupt-word anomalies and
 //                    skipped instead of failing the load
 //   --jobs N         decode with N worker threads (0 or omitted: hardware
-//                    concurrency; 1: serial). Output is byte-identical at
-//                    every N.
+//                    concurrency; 1: inline replay, no threads). Output is
+//                    byte-identical at every N.
 //   --stats          append the pipeline-telemetry section (src/obs
 //                    counters, gauges and latency histograms for the load,
 //                    decode, shard-replay and merge stages of this run)

@@ -38,13 +38,11 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
-// Decodes either capture flavour through either engine; both pairs are
+// Decodes either capture flavour; inline and sharded replay are
 // byte-identical by contract, so the caller's --jobs choice never shows in
 // the export.
-template <typename Engine>
-DecodedTrace DecodeWith(Engine&& engine, const RawTrace* raw,
-                        const StreamCapture* stream,
-                        std::uint64_t corrupt_words) {
+DecodedTrace DecodeWith(ParallelAnalyzer& engine, const RawTrace* raw,
+                        const StreamCapture* stream, std::uint64_t corrupt_words) {
   engine.NoteCorruptWords(corrupt_words);
   if (raw != nullptr) {
     engine.NoteDropped(raw->dropped_events);
@@ -73,7 +71,6 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
   std::string format = "trace-event";
   std::string out_path;
   unsigned jobs = 0;
-  bool serial = false;
   bool salvage = false;
   bool stats = false;
   bool telemetry = false;
@@ -91,7 +88,6 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
       }
       ++i;
       jobs = static_cast<unsigned>(value);
-      serial = (jobs == 1);
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--stats") {
@@ -168,21 +164,15 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
   const std::uint64_t timer_hz =
       is_stream ? stream.timer_clock_hz : raw.timer_clock_hz;
   OBS_SPAN_BEGIN(decode);
-  const DecodedTrace decoded =
-      serial ? DecodeWith(
-                   StreamingDecoder(names, timer_bits, timer_hz,
-                                    StreamingOptions{.retain_structure = true}),
-                   raw_in, stream_in, corrupt_words)
-             : DecodeWith(ParallelAnalyzer(names, timer_bits, timer_hz,
-                                           ParallelOptions{.jobs = jobs}),
-                          raw_in, stream_in, corrupt_words);
+  ParallelAnalyzer analyzer(names, timer_bits, timer_hz, ParallelOptions{.jobs = jobs});
+  const DecodedTrace decoded = DecodeWith(analyzer, raw_in, stream_in, corrupt_words);
   OBS_SPAN_END(decode, "export.decode");
 
   // The telemetry tracks render only counters whose totals are independent
   // of the decode path chosen by --jobs: the per-decode anomaly ledger
-  // (RecordDecodeTelemetry runs identically under both engines) and the
+  // (RecordDecodeTelemetry runs identically under both replay modes) and the
   // load-side socket counters. Engine-internal counters (decode.chunks,
-  // parallel.shards, ...) differ between serial and sharded runs and would
+  // parallel.shards, ...) differ between inline and sharded runs and would
   // break the export's byte-identity contract.
   obs::Snapshot telemetry_counters;
   if (telemetry) {

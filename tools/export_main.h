@@ -20,8 +20,8 @@ namespace hwprof {
 //                    speedscope, weighted by net nanoseconds.
 //   --out FILE       write to FILE instead of stdout
 //   --jobs N         decode with N worker threads (0 or omitted: hardware
-//                    concurrency; 1: serial). The export is byte-identical
-//                    at every N.
+//                    concurrency; 1: inline replay, no threads). The export
+//                    is byte-identical at every N.
 //   --salvage        tolerate corrupt capture files (as hwprof_analyze)
 //   --stats          append the pipeline-telemetry section to stderr
 //   --telemetry      (trace-event only) add one "C" counter track per
