@@ -8,6 +8,7 @@
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
 #include "src/profhw/binary_trace.h"
+#include "src/profhw/capture_reader.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
 
@@ -148,17 +149,10 @@ void BM_AnalyzeFromBinary(benchmark::State& state) {
   CaptureFixture& f = Fixture();
   const std::string bin = EncodeCaptureBinary(f.raw);
   for (auto _ : state) {
-    BinaryChunkReader reader(bin, /*salvage=*/false);
-    StreamingDecoder decoder(f.tb->tags(), reader.timer_bits(),
-                             reader.timer_clock_hz(), StreamingOptions{});
-    decoder.NoteDropped(reader.dropped_events());
-    decoder.SetClockEnvelope(reader.capture_elapsed_ns());
-    SoaChunk chunk;
-    while (reader.Next(&chunk)) {
-      decoder.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                      chunk.tags.size());
-    }
-    DecodedTrace d = decoder.Finish(reader.overflowed());
+    CaptureReader reader(bin, /*salvage=*/false);
+    DecodedTrace d = StreamingDecoder(f.tb->tags(), reader.timer_bits(),
+                                      reader.timer_clock_hz(), StreamingOptions{})
+                         .DecodeAll(reader);
     benchmark::DoNotOptimize(d.per_function.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));

@@ -33,14 +33,7 @@ CaptureFixture& SharedFixture() {
   return fixture;
 }
 
-DecodedTrace DecodeOnce(const CaptureFixture& f) {
-  StreamingDecoder decoder(f.tb->tags(), f.raw.timer_bits,
-                           f.raw.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
-  decoder.SetClockEnvelope(f.raw.capture_elapsed_ns);
-  decoder.Feed(f.raw.events);
-  return decoder.Finish(f.raw.overflowed);
-}
+DecodedTrace DecodeOnce(const CaptureFixture& f) { return Decoder::Decode(f.raw, f.tb->tags()); }
 
 // The headline pair: identical decode work, telemetry live vs killed. In a
 // -DHWPROF_NO_TELEMETRY build both collapse to the compiled-out cost.

@@ -8,6 +8,7 @@
 #include "src/base/assert.h"
 #include "src/base/thread_pool.h"
 #include "src/obs/telemetry.h"
+#include "src/profhw/capture_reader.h"
 #include "src/profhw/usec_timer.h"
 
 namespace hwprof {
@@ -985,6 +986,11 @@ void StreamingDecoder::FeedChunk(const TraceChunk& chunk) {
   Feed(chunk.events.data(), chunk.events.size());
 }
 
+void StreamingDecoder::FeedChunk(const SoaChunk& chunk) {
+  impl_->NoteDropped(chunk.dropped_before);
+  FeedSoA(chunk.tags.data(), chunk.timestamps.data(), chunk.tags.size());
+}
+
 void StreamingDecoder::NoteDropped(std::uint64_t count) { impl_->NoteDropped(count); }
 
 void StreamingDecoder::NoteCorruptWords(std::uint64_t count) {
@@ -1007,15 +1013,32 @@ DecodedTrace StreamingDecoder::SnapshotStats() const { return impl_->SnapshotSta
 
 DecodedTrace StreamingDecoder::Finish(bool truncated) { return impl_->Finish(truncated); }
 
-DecodedTrace Decoder::Decode(const RawTrace& raw, const TagFile& names) {
-  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
+DecodedTrace StreamingDecoder::DecodeAll(CaptureReader& reader) {
+  SetClockEnvelope(static_cast<Nanoseconds>(reader.capture_elapsed_ns()));
+  SoaChunk chunk;
+  while (reader.Next(&chunk)) {
+    FeedChunk(chunk);
+  }
+  // A capture's drops are one count (the reader folds chunk drops into it);
+  // a stream's arrived with its chunks and this is 0.
+  NoteDropped(reader.dropped_events());
+  NoteCorruptWords(reader.corrupt_words());
+  return Finish(reader.overflowed() || reader.truncated_tail());
+}
+
+DecodedTrace StreamingDecoder::DecodeAll(const RawTrace& raw) {
   // Board-side accounting travels with the capture: drain-race drops and the
   // host wall-clock envelope (both 0 on traces that never recorded them).
-  decoder.NoteDropped(raw.dropped_events);
-  decoder.SetClockEnvelope(raw.capture_elapsed_ns);
-  decoder.Feed(raw.events);
-  return decoder.Finish(raw.overflowed);
+  NoteDropped(raw.dropped_events);
+  SetClockEnvelope(raw.capture_elapsed_ns);
+  Feed(raw.events);
+  return Finish(raw.overflowed);
+}
+
+DecodedTrace Decoder::Decode(const RawTrace& raw, const TagFile& names) {
+  return StreamingDecoder(names, raw.timer_bits, raw.timer_clock_hz,
+                          StreamingOptions{.retain_structure = true})
+      .DecodeAll(raw);
 }
 
 }  // namespace hwprof

@@ -32,6 +32,9 @@
 
 namespace hwprof {
 
+class CaptureReader;
+struct SoaChunk;
+
 struct CallNode {
   const TagEntry* fn = nullptr;  // null only for synthetic stack roots
   Nanoseconds entry_time = 0;
@@ -178,14 +181,15 @@ struct DecodedTrace {
     const std::uint64_t tolerated = TruncationClosedEntries();
     return unclosed_entries > tolerated ? unclosed_entries - tolerated : 0;
   }
-  // Anything a health-conscious consumer should hear about. Deliberately
-  // excludes plain truncation (stopping a capture mid-run is normal) and
-  // the truncation-closed entries it implies.
-  bool HasAnomalies() const {
-    return corrupt_words > 0 || impossible_deltas > 0 || wrap_ambiguous_gaps > 0 ||
-           unknown_tags > 0 || orphan_exits > 0 || dropped_events > 0 ||
-           MidTraceUnclosedEntries() > 0;
+  // Everything a health-conscious consumer should hear about, as one count
+  // (hwprofd's per-upload anomaly total, the --progress heartbeat).
+  // Deliberately excludes plain truncation (stopping a capture mid-run is
+  // normal) and the truncation-closed entries it implies.
+  std::uint64_t AnomalyTotal() const {
+    return corrupt_words + impossible_deltas + wrap_ambiguous_gaps + unknown_tags +
+           orphan_exits + dropped_events + MidTraceUnclosedEntries();
   }
+  bool HasAnomalies() const { return AnomalyTotal() > 0; }
 };
 
 // Folds a finished decode's anomaly counters into the pipeline telemetry
@@ -248,6 +252,7 @@ class StreamingDecoder {
                std::size_t count);
   // Feeds one drained bank: accounts its dropped_before, then its events.
   void FeedChunk(const TraceChunk& chunk);
+  void FeedChunk(const SoaChunk& chunk);
   // Records a capture gap of `count` dropped events at the current position.
   // The decoder keeps its stacks (later orphan exits are tolerated as
   // usual); note that a gap longer than the timer wrap period makes the
@@ -279,6 +284,15 @@ class StreamingDecoder {
   // Decodes everything still buffered, closes open calls, and returns the
   // final trace. The decoder is consumed: only the destructor may follow.
   DecodedTrace Finish(bool truncated = false);
+
+  // Whole-input decodes, each carrying the board-side accounting with the
+  // events and ending in Finish. From a reader: the clock envelope, every
+  // chunk (its drops, then its columns), the capture's folded drop count,
+  // the corrupt words, then Finish(overflowed || truncated_tail). The caller
+  // checks reader.failed() for strict damage. From a RawTrace: its drops,
+  // envelope and events, then Finish(overflowed).
+  DecodedTrace DecodeAll(CaptureReader& reader);
+  DecodedTrace DecodeAll(const RawTrace& raw);
 
  private:
   friend class ParallelAnalyzer;

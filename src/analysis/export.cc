@@ -14,37 +14,6 @@ namespace {
 
 // --- Emission helpers --------------------------------------------------------
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Chrome wants microseconds; integer-only rendering of the exact nanosecond
 // value keeps the output byte-stable across platforms and --jobs counts.
 std::string UsecStr(Nanoseconds ns) {
@@ -59,11 +28,11 @@ void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
               std::vector<std::string>* events) {
   if (node.fn != nullptr) {
     if (node.inline_marker) {
-      events->push_back(StrFormat(
-          "{\"name\":\"%s\",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,"
-          "\"s\":\"t\"}",
-          JsonEscape(node.fn->name).c_str(), kPid, tid,
-          UsecStr(node.entry_time).c_str()));
+      std::string event = "{\"name\":";
+      AppendJsonString(node.fn->name, &event);
+      event += StrFormat(",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\"}",
+                         kPid, tid, UsecStr(node.entry_time).c_str());
+      events->push_back(std::move(event));
       return;  // inline markers have no duration and no children
     }
     const Nanoseconds exit = node.closed ? node.exit_time : trace_end;
@@ -76,11 +45,12 @@ void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
       args += ",\"forced_close\":1";
     }
     args += "}";
-    events->push_back(StrFormat(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,"
-        "\"dur\":%s,\"args\":%s}",
-        JsonEscape(node.fn->name).c_str(), kPid, tid,
-        UsecStr(node.entry_time).c_str(), UsecStr(dur).c_str(), args.c_str()));
+    std::string event = "{\"name\":";
+    AppendJsonString(node.fn->name, &event);
+    event += StrFormat(",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
+                       kPid, tid, UsecStr(node.entry_time).c_str(), UsecStr(dur).c_str(),
+                       args.c_str());
+    events->push_back(std::move(event));
   }
   for (const auto& child : node.children) {
     if (child != nullptr) {
@@ -194,12 +164,12 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
       if (m.kind != obs::MetricKind::kCounter) {
         continue;
       }
-      events.push_back(StrFormat(
-          "{\"name\":\"telemetry: %s\",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,"
-          "\"args\":{\"count\":%llu}}",
-          JsonEscape(m.name).c_str(), kPid,
-          UsecStr(decoded.end_time).c_str(),
-          static_cast<unsigned long long>(m.count)));
+      std::string event = "{\"name\":";
+      AppendJsonString("telemetry: " + m.name, &event);
+      event += StrFormat(",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,\"args\":{\"count\":%llu}}",
+                         kPid, UsecStr(decoded.end_time).c_str(),
+                         static_cast<unsigned long long>(m.count));
+      events.push_back(std::move(event));
     }
   }
 

@@ -10,13 +10,8 @@ ParallelAnalyzer::ParallelAnalyzer(const TagFile& names, unsigned timer_bits,
 
 DecodedTrace DecodeParallel(const RawTrace& raw, const TagFile& names,
                             ParallelOptions options) {
-  ParallelAnalyzer analyzer(names, raw.timer_bits, raw.timer_clock_hz, options);
-  // Same board-side accounting as Decoder::Decode so both batch wrappers
-  // stay byte-identical.
-  analyzer.NoteDropped(raw.dropped_events);
-  analyzer.SetClockEnvelope(raw.capture_elapsed_ns);
-  analyzer.Feed(raw.events);
-  return analyzer.Finish(raw.overflowed);
+  return ParallelAnalyzer(names, raw.timer_bits, raw.timer_clock_hz, options)
+      .DecodeAll(raw);
 }
 
 }  // namespace hwprof

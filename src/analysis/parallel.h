@@ -80,8 +80,10 @@ class ParallelAnalyzer : private StreamingDecoder {
 
   // Flushes the matcher, waits for every shard worker, merges, and returns
   // the final trace — byte-identical to what Decoder::Decode would produce
-  // on the concatenated input. Consumes the analyzer.
+  // on the concatenated input. Consumes the analyzer. DecodeAll drains a
+  // CaptureReader (or a RawTrace) and finishes, as on the StreamingDecoder.
   using StreamingDecoder::Finish;
+  using StreamingDecoder::DecodeAll;
 };
 
 // Batch convenience: the parallel counterpart of Decoder::Decode. Output is

@@ -78,4 +78,34 @@ bool ParseUint(std::string_view s, std::uint64_t* out) {
   return true;
 }
 
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 }  // namespace hwprof

@@ -30,6 +30,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 // (empty, non-digits, overflow past 2^63).
 bool ParseUint(std::string_view s, std::uint64_t* out);
 
+// Appends `s` to `out` as a quoted JSON string: '"', '\\', newline, tab and
+// carriage return get their short escapes, every other byte below 0x20 is
+// written as \u00XX, and all remaining bytes pass through unchanged.
+void AppendJsonString(std::string_view s, std::string* out);
+
 }  // namespace hwprof
 
 #endif  // HWPROF_SRC_BASE_STRINGS_H_

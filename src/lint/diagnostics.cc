@@ -125,40 +125,6 @@ std::size_t UnsuppressedCount(const std::vector<Finding>& findings) {
 
 // --- JSON writer -------------------------------------------------------------
 
-namespace {
-
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string FindingsToJson(const std::vector<Finding>& findings) {
   std::string out = "{\n  \"findings\": [";
   bool first = true;

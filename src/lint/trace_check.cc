@@ -18,17 +18,6 @@ const char* KindName(TagKind kind) {
   return "?";
 }
 
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-    }
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 // Looks the name up in the model; falls back to a nameless entry so findings
 // always have at least the trace as their file.
 Finding AttributedFinding(const CallStructureModel& model, const char* rule,

@@ -210,18 +210,6 @@ bool LooksBinaryContainer(std::string_view bytes) {
   return bytes.size() >= 8 && std::memcmp(bytes.data(), kBinaryMagic, 8) == 0;
 }
 
-bool BinaryKindOf(std::string_view bytes, BinaryKind* kind) {
-  if (!LooksBinaryContainer(bytes) || bytes.size() < 10) {
-    return false;
-  }
-  const auto k = static_cast<unsigned char>(bytes[9]);
-  if (k > 1) {
-    return false;
-  }
-  *kind = static_cast<BinaryKind>(k);
-  return true;
-}
-
 std::string EncodeCaptureBinary(const RawTrace& trace) {
   std::string out =
       EncodeFileHeader(BinaryKind::kCapture, trace.timer_bits, trace.timer_clock_hz,
@@ -530,121 +518,6 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
     return true;
   }
   return false;
-}
-
-// --- Whole-container wrappers ------------------------------------------------
-
-namespace {
-
-void CopyDiags(const BinaryChunkReader& reader, std::vector<TraceDiag>* diags) {
-  if (diags != nullptr) {
-    diags->insert(diags->end(), reader.diags().begin(), reader.diags().end());
-  }
-}
-
-void ZipChunk(const SoaChunk& soa, std::vector<RawEvent>* out) {
-  const std::size_t base = out->size();
-  out->resize(base + soa.tags.size());
-  for (std::size_t i = 0; i < soa.tags.size(); ++i) {
-    (*out)[base + i] = RawEvent{soa.tags[i], soa.timestamps[i]};
-  }
-}
-
-bool DecodeCapture(std::string_view bytes, RawTrace* out,
-                   std::vector<TraceDiag>* diags, bool salvage,
-                   std::uint64_t* corrupt_words) {
-  BinaryChunkReader reader(bytes, salvage);
-  if (!reader.header_ok()) {
-    CopyDiags(reader, diags);
-    return false;
-  }
-  if (reader.kind() != BinaryKind::kCapture) {
-    if (diags != nullptr) {
-      diags->push_back(TraceDiag{9, "stream container where a capture was expected"});
-    }
-    return false;
-  }
-  RawTrace trace;
-  trace.timer_bits = reader.timer_bits();
-  trace.timer_clock_hz = reader.timer_clock_hz();
-  trace.overflowed = reader.overflowed();
-  trace.dropped_events = reader.dropped_events();
-  trace.capture_elapsed_ns = reader.capture_elapsed_ns();
-  SoaChunk chunk;
-  while (reader.Next(&chunk)) {
-    ZipChunk(chunk, &trace.events);
-    trace.dropped_events += chunk.dropped_before;
-  }
-  CopyDiags(reader, diags);
-  if (reader.failed()) {
-    return false;
-  }
-  if (corrupt_words != nullptr) {
-    *corrupt_words += reader.corrupt_words();
-  }
-  *out = std::move(trace);
-  return true;
-}
-
-bool DecodeStream(std::string_view bytes, StreamCapture* out,
-                  std::vector<TraceDiag>* diags, bool salvage,
-                  std::uint64_t* corrupt_words) {
-  BinaryChunkReader reader(bytes, salvage);
-  if (!reader.header_ok()) {
-    CopyDiags(reader, diags);
-    return false;
-  }
-  if (reader.kind() != BinaryKind::kStream) {
-    if (diags != nullptr) {
-      diags->push_back(TraceDiag{9, "capture container where a stream was expected"});
-    }
-    return false;
-  }
-  StreamCapture stream;
-  stream.timer_bits = reader.timer_bits();
-  stream.timer_clock_hz = reader.timer_clock_hz();
-  SoaChunk soa;
-  while (reader.Next(&soa)) {
-    TraceChunk chunk;
-    chunk.dropped_before = soa.dropped_before;
-    ZipChunk(soa, &chunk.events);
-    stream.chunks.push_back(std::move(chunk));
-    OBS_COUNT("socket.dropped_events", soa.dropped_before);
-  }
-  stream.truncated_tail = reader.truncated_tail();
-  CopyDiags(reader, diags);
-  if (reader.failed()) {
-    return false;
-  }
-  if (corrupt_words != nullptr) {
-    *corrupt_words += reader.corrupt_words();
-  }
-  *out = std::move(stream);
-  return true;
-}
-
-}  // namespace
-
-bool DecodeCaptureBinary(std::string_view bytes, RawTrace* out,
-                         std::vector<TraceDiag>* diags) {
-  return DecodeCapture(bytes, out, diags, /*salvage=*/false, nullptr);
-}
-
-bool DecodeCaptureBinarySalvage(std::string_view bytes, RawTrace* out,
-                                std::vector<TraceDiag>* diags,
-                                std::uint64_t* corrupt_words) {
-  return DecodeCapture(bytes, out, diags, /*salvage=*/true, corrupt_words);
-}
-
-bool DecodeStreamBinary(std::string_view bytes, StreamCapture* out,
-                        std::vector<TraceDiag>* diags) {
-  return DecodeStream(bytes, out, diags, /*salvage=*/false, nullptr);
-}
-
-bool DecodeStreamBinarySalvage(std::string_view bytes, StreamCapture* out,
-                               std::vector<TraceDiag>* diags,
-                               std::uint64_t* corrupt_words) {
-  return DecodeStream(bytes, out, diags, /*salvage=*/true, corrupt_words);
 }
 
 }  // namespace hwprof

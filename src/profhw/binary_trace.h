@@ -87,9 +87,6 @@ enum class BinaryKind : unsigned char { kCapture = 0, kStream = 1 };
 
 // True when `bytes` begins with the container magic (any kind/version).
 bool LooksBinaryContainer(std::string_view bytes);
-// Reads the kind byte; false when the magic is absent or the file is too
-// short to carry one.
-bool BinaryKindOf(std::string_view bytes, BinaryKind* kind);
 
 // --- Encoding ---------------------------------------------------------------
 
@@ -166,22 +163,11 @@ class BinaryChunkReader {
 
 // --- Whole-container decoding ----------------------------------------------
 
-// Capture kind -> RawTrace. Strict: false on any damage (diags explain,
-// offsets in the line field). Salvage: false only when the file header is
-// unusable; otherwise damaged regions are counted into *corrupt_words.
+// Capture -> RawTrace, strict: ReadCapture (src/profhw/capture_reader.h)
+// over a CaptureReader, so it accepts either format. False on any damage
+// (diags explain, byte offsets in the line field for hwpb).
 bool DecodeCaptureBinary(std::string_view bytes, RawTrace* out,
                          std::vector<TraceDiag>* diags);
-bool DecodeCaptureBinarySalvage(std::string_view bytes, RawTrace* out,
-                                std::vector<TraceDiag>* diags,
-                                std::uint64_t* corrupt_words);
-
-// Stream kind -> StreamCapture. A torn tail is tolerated in both modes
-// (truncated_tail is set), matching the text stream loaders.
-bool DecodeStreamBinary(std::string_view bytes, StreamCapture* out,
-                        std::vector<TraceDiag>* diags);
-bool DecodeStreamBinarySalvage(std::string_view bytes, StreamCapture* out,
-                               std::vector<TraceDiag>* diags,
-                               std::uint64_t* corrupt_words);
 
 }  // namespace hwprof
 

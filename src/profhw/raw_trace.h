@@ -75,7 +75,8 @@ struct RawTrace {
   // single-buffer boards round-trip through the original 5-field header.
   std::string Serialize() const;
 
-  // Parses the upload format. Returns false on malformed input, leaving
+  // Parses the upload format (the text capture parser behind CaptureReader,
+  // src/profhw/capture_reader.cc). Returns false on malformed input, leaving
   // `*out` unspecified. When `diags` is non-null every problem found is
   // appended with its 1-based line number and reason (parsing continues
   // past bad event lines so one pass reports them all).

@@ -8,30 +8,11 @@
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/binary_trace.h"
+#include "src/profhw/capture_reader.h"
 
 namespace hwprof {
 
 namespace {
-
-void NoteDiag(std::vector<TraceDiag>* diags, int line, std::string message) {
-  if (diags != nullptr) {
-    diags->push_back(TraceDiag{line, std::move(message)});
-  }
-}
-
-// Maps (or reads) the whole file; a missing/unreadable file is a file-level
-// (line 0) diagnostic so tools can print a reason instead of a bare failure.
-bool MapFile(const std::string& path, MappedFile* file,
-             std::vector<TraceDiag>* diags) {
-  OBS_SCOPED_SPAN("socket.load");
-  if (!file->Open(path)) {
-    NoteDiag(diags, 0, "cannot open file");
-    OBS_COUNT("socket.load_failures", 1);
-    return false;
-  }
-  OBS_COUNT("socket.download_bytes", file->size());
-  return true;
-}
 
 bool WriteFile(const std::string& path, std::string_view bytes) {
   OBS_SCOPED_SPAN("socket.save");
@@ -52,31 +33,18 @@ bool WriteFile(const std::string& path, std::string_view bytes) {
 
 }  // namespace
 
-bool DetectCaptureFile(const std::string& path, CaptureFileInfo* info) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+bool OpenCaptureFile(const std::string& path, MappedFile* file,
+                     std::vector<TraceDiag>* diags) {
+  OBS_SCOPED_SPAN("socket.load");
+  if (!file->Open(path)) {
+    if (diags != nullptr) {
+      diags->push_back(TraceDiag{0, "cannot open file"});
+    }
+    OBS_COUNT("socket.load_failures", 1);
     return false;
   }
-  char head[16] = {};
-  in.read(head, sizeof(head));
-  const std::string_view bytes(head, static_cast<std::size_t>(in.gcount()));
-  BinaryKind kind;
-  if (BinaryKindOf(bytes, &kind)) {
-    info->format = CaptureFormat::kBinary;
-    info->is_stream = kind == BinaryKind::kStream;
-    return true;
-  }
-  if (bytes.rfind("hwprof-raw ", 0) == 0) {
-    info->format = CaptureFormat::kText;
-    info->is_stream = false;
-    return true;
-  }
-  if (bytes.rfind("hwprof-stream", 0) == 0) {
-    info->format = CaptureFormat::kText;
-    info->is_stream = true;
-    return true;
-  }
-  return false;
+  OBS_COUNT("socket.download_bytes", file->size());
+  return true;
 }
 
 bool SaveCapture(const RawTrace& trace, const std::string& path,
@@ -93,31 +61,15 @@ bool SaveCapture(const RawTrace& trace, const std::string& path) {
 bool LoadCapture(const std::string& path, RawTrace* out,
                  std::vector<TraceDiag>* diags) {
   MappedFile file;
-  if (!MapFile(path, &file, diags)) {
+  if (!OpenCaptureFile(path, &file, diags)) {
     return false;
   }
-  if (LooksBinaryContainer(file.view())) {
-    return DecodeCaptureBinary(file.view(), out, diags);
-  }
-  return RawTrace::Deserialize(std::string(file.view()), out, diags);
+  CaptureReader reader(file.view(), /*salvage=*/false);
+  return ReadCapture(reader, out, diags);
 }
 
 bool LoadCapture(const std::string& path, RawTrace* out) {
   return LoadCapture(path, out, nullptr);
-}
-
-bool LoadCaptureSalvage(const std::string& path, RawTrace* out,
-                        std::vector<TraceDiag>* diags,
-                        std::uint64_t* corrupt_words) {
-  MappedFile file;
-  if (!MapFile(path, &file, diags)) {
-    return false;
-  }
-  if (LooksBinaryContainer(file.view())) {
-    return DecodeCaptureBinarySalvage(file.view(), out, diags, corrupt_words);
-  }
-  return RawTrace::DeserializeSalvage(std::string(file.view()), out, diags,
-                                      corrupt_words);
 }
 
 std::uint64_t StreamCapture::TotalEvents() const {
@@ -225,200 +177,18 @@ bool AppendStreamChunk(const std::string& path, const TraceChunk& chunk) {
   return true;
 }
 
-namespace {
-
-bool ParseChunkHeader(std::string_view line, std::uint64_t* count,
-                      std::uint64_t* dropped) {
-  const std::vector<std::string_view> fields = Split(line, ' ');
-  return fields.size() == 3 && fields[0] == "chunk" &&
-         ParseUint(fields[1], count) && ParseUint(fields[2], dropped);
-}
-
-// Parses one '<tag> <timestamp>' event line against the header's timer mask;
-// on failure fills `reason` and returns false.
-bool ParseEventLine(std::string_view line, std::uint32_t mask,
-                    unsigned timer_bits, RawEvent* out, std::string* reason) {
-  const std::vector<std::string_view> ev = Split(line, ' ');
-  std::uint64_t tag = 0;
-  std::uint64_t timestamp = 0;
-  if (ev.size() != 2 || !ParseUint(ev[0], &tag) ||
-      !ParseUint(ev[1], &timestamp)) {
-    *reason =
-        StrFormat("expected '<tag> <timestamp>', got %zu fields", ev.size());
-    return false;
-  }
-  if (tag > 0xFFFF) {
-    *reason = StrFormat("tag %llu exceeds the 16-bit tag section",
-                        static_cast<unsigned long long>(tag));
-    return false;
-  }
-  if (timestamp > mask) {
-    *reason = StrFormat("timestamp %llu exceeds the %u-bit timer mask (%lu)",
-                        static_cast<unsigned long long>(timestamp), timer_bits,
-                        static_cast<unsigned long>(mask));
-    return false;
-  }
-  out->tag = static_cast<std::uint16_t>(tag);
-  out->timestamp = static_cast<std::uint32_t>(timestamp);
-  return true;
-}
-
-// Shared parser behind the strict and salvage text stream loaders. A torn
-// final line — wherever it falls — is tolerated in both modes (the writer may
-// be mid-append; --follow polls the same file the target is still writing):
-// everything parsed so far stands and truncated_tail is set. Mid-file damage
-// is a failure in strict mode; in salvage mode unreadable lines count one
-// corrupt word each and parsing resynchronises at the next chunk boundary —
-// or at the next run of intact event lines, which are kept as a recovery
-// chunk (a destroyed chunk header must not bill the events behind it).
-bool ParseStream(std::string_view text, StreamCapture* out,
-                 std::vector<TraceDiag>* diags, bool salvage,
-                 std::uint64_t* corrupt_words) {
-  const std::vector<std::string_view> lines = SplitLines(text);
-  if (lines.empty()) {
-    NoteDiag(diags, 1, "empty file: expected 'hwprof-stream v1 <bits> <hz>' header");
-    return false;
-  }
-  const std::vector<std::string_view> header = Split(lines[0], ' ');
-  if (header.size() != 4 || header[0] != "hwprof-stream" || header[1] != "v1") {
-    NoteDiag(diags, 1, "bad header: expected 'hwprof-stream v1 <bits> <hz>'");
-    return false;
-  }
-  std::uint64_t bits = 0;
-  std::uint64_t hz = 0;
-  if (!ParseUint(header[2], &bits) || bits < 8 || bits > 32) {
-    NoteDiag(diags, 1, "timer width must be a number in 8..32");
-    return false;
-  }
-  if (!ParseUint(header[3], &hz) || hz == 0) {
-    NoteDiag(diags, 1, "timer clock rate must be a positive number");
-    return false;
-  }
-  StreamCapture capture;
-  capture.timer_bits = static_cast<unsigned>(bits);
-  capture.timer_clock_hz = hz;
-  const std::uint32_t mask =
-      bits >= 32 ? 0xFFFFFFFFu : ((1u << bits) - 1u);
-
-  std::size_t i = 1;
-  while (i < lines.size()) {
-    std::uint64_t count = 0;
-    std::uint64_t dropped = 0;
-    if (!ParseChunkHeader(lines[i], &count, &dropped)) {
-      if (i + 1 == lines.size()) {
-        capture.truncated_tail = true;  // torn chunk header mid-append
-        break;
-      }
-      NoteDiag(diags, static_cast<int>(i) + 1,
-               "expected 'chunk <count> <dropped>'");
-      if (!salvage) {
-        return false;
-      }
-      if (corrupt_words != nullptr) {
-        ++*corrupt_words;
-      }
-      OBS_COUNT("socket.corrupt_lines", 1);
-      ++i;
-      // A destroyed chunk header orphans the intact event lines behind it.
-      // Salvage them into a recovery chunk (the bank boundary is gone, so
-      // its drop count is too) instead of billing each as a corrupt word.
-      TraceChunk recovered;
-      std::string reason;
-      RawEvent event;
-      std::uint64_t nc = 0;
-      std::uint64_t nd = 0;
-      while (i < lines.size() && !ParseChunkHeader(lines[i], &nc, &nd) &&
-             ParseEventLine(lines[i], mask, capture.timer_bits, &event,
-                            &reason)) {
-        recovered.events.push_back(event);
-        ++i;
-      }
-      if (!recovered.events.empty()) {
-        NoteDiag(diags, static_cast<int>(i),
-                 StrFormat("recovered %zu orphaned event lines after the "
-                           "unreadable chunk header",
-                           recovered.events.size()));
-        OBS_COUNT("socket.salvage_resyncs", 1);
-        capture.chunks.push_back(std::move(recovered));
-      }
-      continue;
-    }
-    ++i;
-    OBS_COUNT("socket.dropped_events", dropped);
-    TraceChunk chunk;
-    chunk.dropped_before = dropped;
-    chunk.events.reserve(static_cast<std::size_t>(count));
-    while (chunk.events.size() < count && i < lines.size()) {
-      const int line_no = static_cast<int>(i) + 1;
-      RawEvent event;
-      std::string reason;
-      if (!ParseEventLine(lines[i], mask, capture.timer_bits, &event,
-                          &reason)) {
-        if (i + 1 == lines.size()) {
-          ++i;  // torn final record: the short count marks the tail below
-          break;
-        }
-        NoteDiag(diags, line_no, std::move(reason));
-        if (!salvage) {
-          return false;
-        }
-        std::uint64_t nc = 0;
-        std::uint64_t nd = 0;
-        if (ParseChunkHeader(lines[i], &nc, &nd)) {
-          OBS_COUNT("socket.salvage_resyncs", 1);
-          break;  // chunk cut short; resynchronise at the bank boundary
-        }
-        if (corrupt_words != nullptr) {
-          ++*corrupt_words;
-        }
-        OBS_COUNT("socket.corrupt_lines", 1);
-        ++i;
-        continue;
-      }
-      chunk.events.push_back(event);
-      ++i;
-    }
-    // Short only counts as a torn tail when the line supply actually ran
-    // out; a mid-file salvage resync at the next bank boundary is damage,
-    // not a writer still appending.
-    if (chunk.events.size() < count && i >= lines.size()) {
-      capture.truncated_tail = true;
-    }
-    capture.chunks.push_back(std::move(chunk));
-  }
-  *out = std::move(capture);
-  return true;
-}
-
-}  // namespace
-
 bool LoadStream(const std::string& path, StreamCapture* out,
                 std::vector<TraceDiag>* diags) {
   MappedFile file;
-  if (!MapFile(path, &file, diags)) {
+  if (!OpenCaptureFile(path, &file, diags)) {
     return false;
   }
-  if (LooksBinaryContainer(file.view())) {
-    return DecodeStreamBinary(file.view(), out, diags);
-  }
-  return ParseStream(file.view(), out, diags, /*salvage=*/false, nullptr);
+  CaptureReader reader(file.view(), /*salvage=*/false);
+  return ReadStream(reader, out, diags);
 }
 
 bool LoadStream(const std::string& path, StreamCapture* out) {
   return LoadStream(path, out, nullptr);
-}
-
-bool LoadStreamSalvage(const std::string& path, StreamCapture* out,
-                       std::vector<TraceDiag>* diags,
-                       std::uint64_t* corrupt_words) {
-  MappedFile file;
-  if (!MapFile(path, &file, diags)) {
-    return false;
-  }
-  if (LooksBinaryContainer(file.view())) {
-    return DecodeStreamBinarySalvage(file.view(), out, diags, corrupt_words);
-  }
-  return ParseStream(file.view(), out, diags, /*salvage=*/true, corrupt_words);
 }
 
 }  // namespace hwprof

@@ -11,9 +11,9 @@
 //     binary_trace.h): varint delta records behind CRC-carrying chunk
 //     headers, decoded zero-copy from an mmap.
 //
-// Every loader auto-detects the format from the first bytes of the file, so
-// tools never need to be told which one they were handed; hwprof_convert
-// translates losslessly in both directions.
+// Every reader auto-detects the format from the first bytes (CaptureReader,
+// src/profhw/capture_reader.h), so tools never need to be told which one
+// they were handed; hwprof_convert translates losslessly in both directions.
 //
 // Streaming captures use an append-friendly layout — a header followed by
 // one block per drained bank — so a long-running target can keep appending
@@ -31,22 +31,19 @@
 #include <string>
 #include <vector>
 
+#include "src/base/mmap_file.h"
 #include "src/profhw/raw_trace.h"
 
 namespace hwprof {
 
 enum class CaptureFormat { kText, kBinary };
 
-// What a capture file on disk actually is, sniffed from its first bytes.
-struct CaptureFileInfo {
-  CaptureFormat format = CaptureFormat::kText;
-  bool is_stream = false;
-};
-
-// Identifies `path` by magic: the binary container magic, the
-// "hwprof-raw"/"hwprof-stream" text headers. Returns false when the file
-// cannot be opened or matches none of them.
-bool DetectCaptureFile(const std::string& path, CaptureFileInfo* info);
+// Maps (or reads) a capture or stream file whole, for a CaptureReader
+// (src/profhw/capture_reader.h). A missing or unreadable file is a
+// file-level (line 0) diagnostic in `diags` (when non-null), so tools can
+// print a reason instead of a bare failure.
+bool OpenCaptureFile(const std::string& path, MappedFile* file,
+                     std::vector<TraceDiag>* diags);
 
 // Writes `trace` to `path` in the given format. Returns false on I/O failure.
 bool SaveCapture(const RawTrace& trace, const std::string& path,
@@ -54,19 +51,13 @@ bool SaveCapture(const RawTrace& trace, const std::string& path,
 bool SaveCapture(const RawTrace& trace, const std::string& path);
 
 // Reads a capture previously written by SaveCapture, auto-detecting the
-// format. Returns false on I/O failure or malformed contents; when `diags`
-// is non-null every problem is appended with its 1-based line number (text)
-// or byte offset (binary) and reason (0 = file-level).
+// format (strict: ReadCapture over a CaptureReader). Returns false on I/O
+// failure or malformed contents; when `diags` is non-null every problem is
+// appended with its 1-based line number (text) or byte offset (binary) and
+// reason (0 = file-level).
 bool LoadCapture(const std::string& path, RawTrace* out,
                  std::vector<TraceDiag>* diags);
 bool LoadCapture(const std::string& path, RawTrace* out);
-
-// Salvage load: keeps every parseable event, counts unreadable lines into
-// `*corrupt_words` (reporting each into `diags` when non-null). Fails only
-// on I/O failure or an unusable header.
-bool LoadCaptureSalvage(const std::string& path, RawTrace* out,
-                        std::vector<TraceDiag>* diags,
-                        std::uint64_t* corrupt_words);
 
 // --- Chunked stream files ----------------------------------------------------
 
@@ -101,24 +92,15 @@ bool SaveStreamHeader(const std::string& path, unsigned timer_bits,
 // self-describing).
 bool AppendStreamChunk(const std::string& path, const TraceChunk& chunk);
 
-// Parses a stream file (either format, auto-detected). Tolerates a
-// truncated final chunk AND a torn final record (a writer caught
-// mid-append, or a sheared file) — both just set
+// Parses a stream file (either format, auto-detected; strict: ReadStream
+// over a CaptureReader). Tolerates a truncated final chunk AND a torn final
+// record (a writer caught mid-append, or a sheared file) — both just set
 // StreamCapture::truncated_tail and keep everything parsed so far. Returns
 // false only on I/O failure or a malformed header/body; `diags` (when
 // non-null) receives line/offset + reason for every problem found.
 bool LoadStream(const std::string& path, StreamCapture* out,
                 std::vector<TraceDiag>* diags);
 bool LoadStream(const std::string& path, StreamCapture* out);
-
-// Salvage load for stream files: unreadable mid-file regions are counted
-// into `*corrupt_words` and skipped, resynchronising at the next chunk
-// boundary (text: the next 'chunk' line or a run of intact event lines;
-// binary: the next CRC-valid chunk header); a torn tail is tolerated as in
-// LoadStream. Fails only on I/O failure or an unusable header.
-bool LoadStreamSalvage(const std::string& path, StreamCapture* out,
-                       std::vector<TraceDiag>* diags,
-                       std::uint64_t* corrupt_words);
 
 }  // namespace hwprof
 

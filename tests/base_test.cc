@@ -155,6 +155,26 @@ TEST(Strings, ParseUintRejects) {
   EXPECT_FALSE(ParseUint("99999999999999999999999", &v));
 }
 
+TEST(Strings, AppendJsonStringEscapesSpecialsAndControlBytes) {
+  std::string out = "x:";
+  AppendJsonString("plain", &out);
+  EXPECT_EQ(out, "x:\"plain\"");
+
+  out.clear();
+  AppendJsonString("a\"b\\c\nd\te\rf", &out);
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\rf\"");
+
+  // Every other byte below 0x20 becomes \u00XX; JSON forbids them raw.
+  out.clear();
+  AppendJsonString(std::string_view("\x01\x1f\0", 3), &out);
+  EXPECT_EQ(out, "\"\\u0001\\u001f\\u0000\"");
+
+  // 0x7f and bytes >= 0x80 (UTF-8 continuation) pass through unchanged.
+  out.clear();
+  AppendJsonString("\x7f\xc3\xa9", &out);
+  EXPECT_EQ(out, "\"\x7f\xc3\xa9\"");
+}
+
 // --- Units ---------------------------------------------------------------------------
 
 TEST(Units, Conversions) {

@@ -13,6 +13,9 @@
 //  * CLI behaviour: auto-detection, --salvage byte-offset diagnostics,
 //    strict nonzero exits, --follow over binary streams (including a writer
 //    caught mid-record), and hwprof_convert's lossless translation;
+//  * one drop rule: a capture's header drops plus a nonzero chunk drop
+//    reach every consumer (analyze, export, the loader, hwprofd, convert)
+//    as one count in one gap;
 //  * regressions for the text stream parser: mid-file salvage resync must
 //    not masquerade as a torn tail, and a destroyed chunk header must not
 //    bill the intact event lines behind it.
@@ -25,15 +28,22 @@
 #include <vector>
 
 #include "src/analysis/decoder.h"
+#include "src/analysis/export.h"
 #include "src/analysis/parallel.h"
+#include "src/base/crc32.h"
+#include "src/base/mmap_file.h"
 #include "src/base/rng.h"
+#include "src/obs/telemetry.h"
 #include "src/profhw/binary_trace.h"
+#include "src/profhw/capture_reader.h"
 #include "src/profhw/fault_injection.h"
 #include "src/profhw/raw_trace.h"
 #include "src/profhw/smart_socket.h"
+#include "src/service/ingest.h"
 #include "tests/trace_testutil.h"
 #include "tools/analyze_main.h"
 #include "tools/convert_main.h"
+#include "tools/export_main.h"
 
 namespace hwprof {
 namespace {
@@ -42,45 +52,46 @@ namespace {
 
 DecodedTrace DecodeBinarySerial(const std::string& bytes, const TagFile& names,
                                 bool salvage = false) {
-  BinaryChunkReader reader(bytes, salvage);
+  CaptureReader reader(bytes, salvage);
   HWPROF_CHECK(reader.header_ok());
-  StreamingDecoder decoder(names, reader.timer_bits(), reader.timer_clock_hz(),
-                           StreamingOptions{.retain_structure = true});
-  decoder.NoteDropped(reader.dropped_events());
-  decoder.SetClockEnvelope(reader.capture_elapsed_ns());
-  SoaChunk chunk;
-  while (reader.Next(&chunk)) {
-    if (chunk.dropped_before > 0) {
-      decoder.NoteDropped(chunk.dropped_before);
-    }
-    decoder.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                    chunk.tags.size());
-  }
-  decoder.NoteCorruptWords(reader.corrupt_words());
-  return decoder.Finish(reader.overflowed());
+  return StreamingDecoder(names, reader.timer_bits(), reader.timer_clock_hz(),
+                          StreamingOptions{.retain_structure = true})
+      .DecodeAll(reader);
 }
 
 DecodedTrace DecodeBinaryParallel(const std::string& bytes, const TagFile& names,
                                   unsigned jobs, std::size_t shard_target) {
-  BinaryChunkReader reader(bytes, /*salvage=*/false);
+  CaptureReader reader(bytes, /*salvage=*/false);
   HWPROF_CHECK(reader.header_ok());
   ParallelOptions opts;
   opts.jobs = jobs;
   opts.shard_target_ops = shard_target;
-  ParallelAnalyzer analyzer(names, reader.timer_bits(), reader.timer_clock_hz(),
-                            opts);
-  analyzer.NoteDropped(reader.dropped_events());
-  analyzer.SetClockEnvelope(reader.capture_elapsed_ns());
-  SoaChunk chunk;
-  while (reader.Next(&chunk)) {
-    if (chunk.dropped_before > 0) {
-      analyzer.NoteDropped(chunk.dropped_before);
-    }
-    analyzer.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                     chunk.tags.size());
+  return ParallelAnalyzer(names, reader.timer_bits(), reader.timer_clock_hz(), opts)
+      .DecodeAll(reader);
+}
+
+// The whole-input conversions over a CaptureReader, adding the salvage
+// corrupt-word count to *corrupt_words (when non-null).
+bool ReadCaptureBytes(std::string_view bytes, bool salvage, RawTrace* out,
+                      std::vector<TraceDiag>* diags,
+                      std::uint64_t* corrupt_words = nullptr) {
+  CaptureReader reader(bytes, salvage);
+  const bool ok = ReadCapture(reader, out, diags);
+  if (ok && corrupt_words != nullptr) {
+    *corrupt_words += reader.corrupt_words();
   }
-  analyzer.NoteCorruptWords(reader.corrupt_words());
-  return analyzer.Finish(reader.overflowed());
+  return ok;
+}
+
+bool ReadStreamBytes(std::string_view bytes, bool salvage, StreamCapture* out,
+                     std::vector<TraceDiag>* diags,
+                     std::uint64_t* corrupt_words = nullptr) {
+  CaptureReader reader(bytes, salvage);
+  const bool ok = ReadStream(reader, out, diags);
+  if (ok && corrupt_words != nullptr) {
+    *corrupt_words += reader.corrupt_words();
+  }
+  return ok;
 }
 
 // Splits `raw` into a stream of randomly-sized drained banks.
@@ -219,7 +230,7 @@ TEST_P(BinaryRoundTripFuzzTest, StreamTextBinaryTextIsBitIdentical) {
 
   StreamCapture back;
   std::vector<TraceDiag> diags;
-  ASSERT_TRUE(DecodeStreamBinary(bin, &back, &diags)) << "seed " << seed;
+  ASSERT_TRUE(ReadStreamBytes(bin, /*salvage=*/false, &back, &diags)) << "seed " << seed;
   EXPECT_FALSE(back.truncated_tail);
   EXPECT_EQ(back.chunks.size(), stream.chunks.size());
   EXPECT_EQ(SerializeStreamText(back), text) << "seed " << seed;
@@ -261,7 +272,7 @@ TEST_P(BinaryRoundTripFuzzTest, BinaryDecodeMatchesTextDecodeOnEveryPath) {
     const std::string sbin =
         EncodeStreamBinary(RandomChunking(flat, chunk_seed));
     StreamCapture stream;
-    ASSERT_TRUE(DecodeStreamBinary(sbin, &stream, nullptr));
+    ASSERT_TRUE(ReadStreamBytes(sbin, /*salvage=*/false, &stream, nullptr));
     StreamingDecoder decoder(names, stream.timer_bits, stream.timer_clock_hz,
                              StreamingOptions{.retain_structure = true});
     for (const TraceChunk& chunk : stream.chunks) {
@@ -295,7 +306,7 @@ TEST_P(BinaryRoundTripFuzzTest, RandomBinaryDamageNeverCrashesAndSalvages) {
   RawTrace salvaged;
   std::vector<TraceDiag> salvage_diags;
   std::uint64_t corrupt_words = 0;
-  ASSERT_TRUE(DecodeCaptureBinarySalvage(damaged, &salvaged, &salvage_diags,
+  ASSERT_TRUE(ReadCaptureBytes(damaged, /*salvage=*/true, &salvaged, &salvage_diags,
                                          &corrupt_words))
       << "seed " << seed;
   StreamingDecoder decoder(names, salvaged.timer_bits, salvaged.timer_clock_hz,
@@ -326,7 +337,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BinaryRoundTripFuzzTest,
 
 // --- File-level auto-detection ----------------------------------------------
 
-TEST(BinaryFormat, DetectCaptureFileIdentifiesAllFourShapes) {
+TEST(BinaryFormat, CaptureReaderIdentifiesAllFourShapes) {
   const RawTrace raw = TwoByteRecordTrace(4);
   const std::string tc = ::testing::TempDir() + "/det_tc";
   const std::string bc = ::testing::TempDir() + "/det_bc";
@@ -337,23 +348,46 @@ TEST(BinaryFormat, DetectCaptureFileIdentifiesAllFourShapes) {
   ASSERT_TRUE(SaveStreamHeader(ts, 24, 1'000'000, CaptureFormat::kText));
   ASSERT_TRUE(SaveStreamHeader(bs, 24, 1'000'000, CaptureFormat::kBinary));
 
-  CaptureFileInfo info;
-  ASSERT_TRUE(DetectCaptureFile(tc, &info));
-  EXPECT_EQ(info.format, CaptureFormat::kText);
-  EXPECT_FALSE(info.is_stream);
-  ASSERT_TRUE(DetectCaptureFile(bc, &info));
-  EXPECT_EQ(info.format, CaptureFormat::kBinary);
-  EXPECT_FALSE(info.is_stream);
-  ASSERT_TRUE(DetectCaptureFile(ts, &info));
-  EXPECT_EQ(info.format, CaptureFormat::kText);
-  EXPECT_TRUE(info.is_stream);
-  ASSERT_TRUE(DetectCaptureFile(bs, &info));
-  EXPECT_EQ(info.format, CaptureFormat::kBinary);
-  EXPECT_TRUE(info.is_stream);
+  struct Shape {
+    const std::string& path;
+    CaptureFormat format;
+    bool stream;
+  };
+  for (const Shape& shape : {Shape{tc, CaptureFormat::kText, false},
+                             Shape{bc, CaptureFormat::kBinary, false},
+                             Shape{ts, CaptureFormat::kText, true},
+                             Shape{bs, CaptureFormat::kBinary, true}}) {
+    const std::string bytes = ReadWholeFile(shape.path);
+    const CaptureReader reader(bytes, /*salvage=*/false);
+    ASSERT_TRUE(reader.header_ok()) << shape.path;
+    EXPECT_EQ(reader.format(), shape.format) << shape.path;
+    EXPECT_EQ(reader.is_stream(), shape.stream) << shape.path;
+  }
 
-  EXPECT_FALSE(DetectCaptureFile(::testing::TempDir() + "/det_missing", &info));
-  const std::string junk = WriteTempFile("det_junk", "not a capture\n");
-  EXPECT_FALSE(DetectCaptureFile(junk, &info));
+  MappedFile file;
+  EXPECT_FALSE(OpenCaptureFile(::testing::TempDir() + "/det_missing", &file, nullptr));
+  const CaptureReader junk("not a capture\n", /*salvage=*/false);
+  EXPECT_FALSE(junk.header_ok());
+  EXPECT_TRUE(junk.failed());
+  ASSERT_FALSE(junk.diags().empty());
+  EXPECT_EQ(junk.diags()[0].line, 1);
+}
+
+TEST(BinaryFormat, ReadersRefuseTheOtherKind) {
+  const std::string capture = EncodeCaptureBinary(TwoByteRecordTrace(4));
+  const std::string stream = EncodeStreamBinary(RandomChunking(TwoByteRecordTrace(6), 1));
+  StreamCapture as_stream;
+  std::vector<TraceDiag> diags;
+  EXPECT_FALSE(ReadStreamBytes(capture, /*salvage=*/false, &as_stream, &diags));
+  EXPECT_TRUE(HasDiag(diags, "capture container where a stream was expected"));
+  RawTrace as_capture;
+  diags.clear();
+  EXPECT_FALSE(ReadCaptureBytes(stream, /*salvage=*/true, &as_capture, &diags));
+  EXPECT_TRUE(HasDiag(diags, "stream container where a capture was expected"));
+  diags.clear();
+  EXPECT_FALSE(ReadCaptureBytes("hwprof-stream v1 24 1000000\n", /*salvage=*/false,
+                                &as_capture, &diags));
+  EXPECT_TRUE(HasDiag(diags, "stream file where a capture was expected"));
 }
 
 TEST(BinaryFormat, SaveAndLoadAutoDetectBothFormats) {
@@ -427,13 +461,13 @@ TEST(BinaryCorruptionMatrix, FlippedCrcLosesExactlyThatChunk) {
 
   StreamCapture strict;
   std::vector<TraceDiag> diags;
-  EXPECT_FALSE(DecodeStreamBinary(damaged, &strict, &diags));
+  EXPECT_FALSE(ReadStreamBytes(damaged, /*salvage=*/false, &strict, &diags));
   EXPECT_TRUE(HasDiag(diags, "CRC mismatch"));
 
   StreamCapture salvaged;
   diags.clear();
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(DecodeStreamBinarySalvage(damaged, &salvaged, &diags, &corrupt));
+  ASSERT_TRUE(ReadStreamBytes(damaged, /*salvage=*/true, &salvaged, &diags, &corrupt));
   EXPECT_EQ(corrupt, 2u);  // bank 1 held exactly 2 records
   ASSERT_EQ(salvaged.chunks.size(), 2u);
   EXPECT_EQ(salvaged.chunks[0].events.size(), 3u);
@@ -450,13 +484,13 @@ TEST(BinaryCorruptionMatrix, OversizedRecordCountIsOneCorruptWordThenResync) {
 
   StreamCapture strict;
   std::vector<TraceDiag> diags;
-  EXPECT_FALSE(DecodeStreamBinary(damaged, &strict, &diags));
+  EXPECT_FALSE(ReadStreamBytes(damaged, /*salvage=*/false, &strict, &diags));
   EXPECT_TRUE(HasDiag(diags, "impossible record count"));
 
   StreamCapture salvaged;
   diags.clear();
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(DecodeStreamBinarySalvage(damaged, &salvaged, &diags, &corrupt));
+  ASSERT_TRUE(ReadStreamBytes(damaged, /*salvage=*/true, &salvaged, &diags, &corrupt));
   EXPECT_EQ(corrupt, 1u);  // the damaged header, not the unverifiable payload
   ASSERT_EQ(salvaged.chunks.size(), 2u);
   EXPECT_EQ(salvaged.chunks[0].events.size(), 2u);
@@ -472,13 +506,13 @@ TEST(BinaryCorruptionMatrix, BogusVarintLosesTheRecordsButNeedsNoRescan) {
 
   StreamCapture strict;
   std::vector<TraceDiag> diags;
-  EXPECT_FALSE(DecodeStreamBinary(damaged, &strict, &diags));
+  EXPECT_FALSE(ReadStreamBytes(damaged, /*salvage=*/false, &strict, &diags));
   EXPECT_TRUE(HasDiag(diags, "damaged record encoding"));
 
   StreamCapture salvaged;
   diags.clear();
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(DecodeStreamBinarySalvage(damaged, &salvaged, &diags, &corrupt));
+  ASSERT_TRUE(ReadStreamBytes(damaged, /*salvage=*/true, &salvaged, &diags, &corrupt));
   EXPECT_EQ(corrupt, 4u);  // all of bank 2's records
   ASSERT_EQ(salvaged.chunks.size(), 3u);
   EXPECT_EQ(salvaged.chunks[2].events.size(), 0u);
@@ -496,7 +530,7 @@ TEST(BinaryCorruptionMatrix, DestroyedChunkMagicIsOneCorruptWordThenResync) {
   StreamCapture salvaged;
   std::vector<TraceDiag> diags;
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(DecodeStreamBinarySalvage(damaged, &salvaged, &diags, &corrupt));
+  ASSERT_TRUE(ReadStreamBytes(damaged, /*salvage=*/true, &salvaged, &diags, &corrupt));
   EXPECT_EQ(corrupt, 1u);
   ASSERT_EQ(salvaged.chunks.size(), 2u);
   EXPECT_EQ(salvaged.chunks[0].events.size(), 3u);
@@ -514,7 +548,7 @@ TEST(BinaryCorruptionMatrix, TornTailMidHeaderAndMidRecord) {
     StreamCapture stream;
     std::vector<TraceDiag> diags;
     ASSERT_TRUE(
-        DecodeStreamBinary(bin.substr(0, last + 7), &stream, &diags));
+        ReadStreamBytes(bin.substr(0, last + 7), /*salvage=*/false, &stream, &diags));
     EXPECT_TRUE(stream.truncated_tail);
     ASSERT_EQ(stream.chunks.size(), 2u);
   }
@@ -524,14 +558,14 @@ TEST(BinaryCorruptionMatrix, TornTailMidHeaderAndMidRecord) {
   {
     const std::string torn = TruncateChunkPayload(bin, 2, 5);
     StreamCapture stream;
-    ASSERT_TRUE(DecodeStreamBinary(torn, &stream, nullptr));
+    ASSERT_TRUE(ReadStreamBytes(torn, /*salvage=*/false, &stream, nullptr));
     EXPECT_TRUE(stream.truncated_tail);
     ASSERT_EQ(stream.chunks.size(), 3u);
     EXPECT_EQ(stream.chunks[2].events.size(), 2u);  // 5 bytes = 2.5 records
 
     StreamCapture salvage_stream;
     std::uint64_t corrupt = 0;
-    ASSERT_TRUE(DecodeStreamBinarySalvage(torn, &salvage_stream, nullptr,
+    ASSERT_TRUE(ReadStreamBytes(torn, /*salvage=*/true, &salvage_stream, nullptr,
                                           &corrupt));
     EXPECT_TRUE(salvage_stream.truncated_tail);
     EXPECT_EQ(corrupt, 0u);
@@ -551,7 +585,7 @@ TEST(BinaryCorruptionMatrix, CaptureTornTailIsStrictFailureSalvageCountsIt) {
   RawTrace salvaged;
   diags.clear();
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(DecodeCaptureBinarySalvage(torn, &salvaged, &diags, &corrupt));
+  ASSERT_TRUE(ReadCaptureBytes(torn, /*salvage=*/true, &salvaged, &diags, &corrupt));
   EXPECT_EQ(salvaged.events.size(), 3u);
   EXPECT_EQ(corrupt, 7u);  // 10 promised, 3 decoded
 }
@@ -568,7 +602,7 @@ TEST(BinaryCorruptionMatrix, TimestampAboveTheTimerMaskIsACorruptWord) {
 
   RawTrace salvaged;
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(DecodeCaptureBinarySalvage(bin, &salvaged, nullptr, &corrupt));
+  ASSERT_TRUE(ReadCaptureBytes(bin, /*salvage=*/true, &salvaged, nullptr, &corrupt));
   EXPECT_EQ(corrupt, 1u);
   ASSERT_EQ(salvaged.events.size(), 3u);  // the impossible record is dropped
   EXPECT_EQ(salvaged.events[2], raw.events[3]);
@@ -742,7 +776,120 @@ TEST(ConvertCli, RefusesJunkAndTornStreams) {
   EXPECT_NE(error.find("torn tail"), std::string::npos) << error;
 }
 
-// --- Text stream parser regressions (the latent LoadStreamSalvage issues) ---
+// --- One drop rule for capture-kind hwpb -------------------------------------
+
+// A capture whose header says dropped=3 and whose only chunk says
+// dropped_before=7, with both CRCs recomputed. The spec wants 0 in a
+// capture's chunks, but whatever arrives is folded into the capture's one
+// drop count — 10 events in 1 gap, all the text form can carry.
+std::string CraftedDropCapture() {
+  std::string bin = EncodeCaptureBinary(TwoByteRecordTrace(8));
+  auto put = [&](std::size_t at, std::uint64_t value, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      bin[at + static_cast<std::size_t>(b)] = static_cast<char>((value >> (8 * b)) & 0xFF);
+    }
+  };
+  put(20, 3, 8);  // header dropped_events
+  put(36, Crc32(bin.data() + 8, 28), 4);
+  const std::size_t chunk = kBinaryFileHeaderSize;
+  put(chunk + 12, 7, 8);  // chunk dropped_before
+  const std::size_t payload = static_cast<unsigned char>(bin[chunk + 8]) |
+                              (static_cast<unsigned char>(bin[chunk + 9]) << 8);
+  std::uint32_t crc = Crc32Update(kCrc32Init, bin.data() + chunk + 4, 16);
+  crc = Crc32Update(crc, bin.data() + chunk + kBinaryChunkHeaderSize, payload);
+  put(chunk + 20, Crc32Final(crc), 4);
+  return bin;
+}
+
+int RunExport(std::initializer_list<const char*> args, std::string* error) {
+  std::vector<const char*> argv{"hwprof_export"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  return ExportMain(static_cast<int>(argv.size()), argv.data(), error);
+}
+
+std::uint64_t CounterValue(const obs::Snapshot& snap, const std::string& name) {
+  for (const obs::MetricValue& m : snap.metrics) {
+    if (m.name == name) {
+      return m.count;
+    }
+  }
+  return 0;
+}
+
+TEST(CaptureDropRule, EveryConsumerFoldsChunkDropsIntoOneCaptureGap) {
+  const std::string bin = CraftedDropCapture();
+  const std::string capture = WriteTempFile("droprule.hwpb", bin);
+  const std::string names = WriteNamesFile("droprule.names");
+  {
+    CaptureReader reader(bin, /*salvage=*/false);
+    ASSERT_TRUE(reader.header_ok());  // both CRCs check out
+  }
+
+  auto expect_json = [](const std::string& json, const std::string& where) {
+    EXPECT_NE(json.find("\"dropped_events\": 10,"), std::string::npos) << where << json;
+    EXPECT_NE(json.find("\"capture_gaps\": 1,"), std::string::npos) << where << json;
+  };
+  auto analyze_json = [&](const std::string& path, const char* jobs) {
+    std::string error;
+    ::testing::internal::CaptureStdout();
+    const int rc = RunAnalyze({path.c_str(), names.c_str(), "--json", "--jobs", jobs}, &error);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0) << error;
+    return out;
+  };
+  expect_json(analyze_json(capture, "1"), "hwprof_analyze --jobs 1\n");
+  expect_json(analyze_json(capture, "8"), "hwprof_analyze --jobs 8\n");
+
+  // hwprof_export: the anomaly instants and the --telemetry counter tracks.
+  obs::SetEnabled(true);
+  obs::ResetTelemetry();
+  const std::string exported = ::testing::TempDir() + "/droprule.json";
+  std::string error;
+  ASSERT_EQ(RunExport({capture.c_str(), names.c_str(), "--telemetry", "--out",
+                       exported.c_str()},
+                      &error),
+            0)
+      << error;
+  TraceEventTotals totals;
+  ASSERT_TRUE(SummarizeTraceEventJson(ReadWholeFile(exported), &totals, &error)) << error;
+  EXPECT_EQ(totals.anomaly_counts["dropped_events"], 10u);
+  EXPECT_EQ(totals.anomaly_counts["capture_gaps"], 1u);
+  const obs::Snapshot after_export = obs::GlobalSnapshot();
+  EXPECT_EQ(CounterValue(after_export, "decode.anomaly.dropped_events"), 10u);
+  EXPECT_EQ(CounterValue(after_export, "decode.anomaly.capture_gaps"), 1u);
+
+  // The library loader and batch decoder.
+  RawTrace raw;
+  ASSERT_TRUE(LoadCapture(capture, &raw));
+  EXPECT_EQ(raw.dropped_events, 10u);
+  const DecodedTrace decoded = Decoder::Decode(raw, MakeNames());
+  EXPECT_EQ(decoded.dropped_events, 10u);
+  EXPECT_EQ(decoded.capture_gaps, 1u);
+
+  // hwprofd: the summary's ledger, and the decode it came from.
+  obs::ResetTelemetry();
+  service::ServiceOptions options;
+  options.workers = 0;
+  service::IngestService service(MakeNames(), options);
+  ASSERT_TRUE(service.Submit("t", bin).accepted);
+  service::UploadOutcome outcome;
+  ASSERT_TRUE(service.LookupOutcome(service::IngestService::HashPayload(bin), &outcome));
+  EXPECT_EQ(outcome.anomalies, 10u);  // the drops are the only anomaly
+  EXPECT_NE(outcome.summary.find("dropped events"), std::string::npos) << outcome.summary;
+  const obs::Snapshot after_ingest = obs::GlobalSnapshot();
+  EXPECT_EQ(CounterValue(after_ingest, "decode.anomaly.dropped_events"), 10u);
+  EXPECT_EQ(CounterValue(after_ingest, "decode.anomaly.capture_gaps"), 1u);
+
+  // hwprof_convert to text and back through the analyzer: lossless.
+  const std::string text = ::testing::TempDir() + "/droprule.hwprof";
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(RunConvert({capture.c_str(), text.c_str()}, &error), 0) << error;
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(ReadWholeFile(text).find(" dropped=10"), std::string::npos);
+  expect_json(analyze_json(text, "1"), "convert -> text -> hwprof_analyze\n");
+}
+
+// --- Text stream parser regressions -----------------------------------------
 
 TEST(TextStreamSalvage, MidFileResyncIsNotATornTail) {
   // Bank 0 promises three events but its third line is destroyed; the next
@@ -757,7 +904,8 @@ TEST(TextStreamSalvage, MidFileResyncIsNotATornTail) {
   StreamCapture stream;
   std::vector<TraceDiag> diags;
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(LoadStreamSalvage(path, &stream, &diags, &corrupt));
+  ASSERT_TRUE(ReadStreamBytes(ReadWholeFile(path), /*salvage=*/true, &stream, &diags,
+                              &corrupt));
   EXPECT_FALSE(stream.truncated_tail);
   EXPECT_EQ(corrupt, 1u);
   ASSERT_EQ(stream.chunks.size(), 2u);
@@ -778,7 +926,8 @@ TEST(TextStreamSalvage, DestroyedChunkHeaderDoesNotBillTheOrphanedEvents) {
   StreamCapture stream;
   std::vector<TraceDiag> diags;
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(LoadStreamSalvage(path, &stream, &diags, &corrupt));
+  ASSERT_TRUE(ReadStreamBytes(ReadWholeFile(path), /*salvage=*/true, &stream, &diags,
+                              &corrupt));
   EXPECT_EQ(corrupt, 1u);
   EXPECT_FALSE(stream.truncated_tail);
   ASSERT_EQ(stream.chunks.size(), 3u);
@@ -796,6 +945,17 @@ TEST(TextStreamSalvage, DestroyedChunkHeaderDoesNotBillTheOrphanedEvents) {
   EXPECT_EQ(diags[0].line, 5);
 }
 
+TEST(TextStreamSalvage, HugeChunkCountIsATornTailNotAnAllocation) {
+  // A chunk header may claim any count; only the lines actually present are
+  // read, so a lying count ends as a short (torn) final chunk.
+  StreamCapture stream;
+  ASSERT_TRUE(ReadStreamBytes("hwprof-stream v1 24 1000000\nchunk 99999999999999 0\n100 1\n",
+                              /*salvage=*/false, &stream, nullptr));
+  EXPECT_TRUE(stream.truncated_tail);
+  ASSERT_EQ(stream.chunks.size(), 1u);
+  EXPECT_EQ(stream.chunks[0].events.size(), 1u);
+}
+
 TEST(TextStreamSalvage, CorruptionSpanningAChunkBoundaryCountsOnce) {
   // The last event line of bank 0 AND the following chunk header are both
   // mangled: exactly two unreadable lines, so exactly two corrupt words —
@@ -809,7 +969,8 @@ TEST(TextStreamSalvage, CorruptionSpanningAChunkBoundaryCountsOnce) {
   StreamCapture stream;
   std::vector<TraceDiag> diags;
   std::uint64_t corrupt = 0;
-  ASSERT_TRUE(LoadStreamSalvage(path, &stream, &diags, &corrupt));
+  ASSERT_TRUE(ReadStreamBytes(ReadWholeFile(path), /*salvage=*/true, &stream, &diags,
+                              &corrupt));
   EXPECT_EQ(corrupt, 2u);
   EXPECT_FALSE(stream.truncated_tail);
   ASSERT_EQ(stream.chunks.size(), 2u);

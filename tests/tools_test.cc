@@ -7,6 +7,7 @@
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
+#include "src/base/strings.h"
 #include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
@@ -402,6 +403,62 @@ TEST(AnalyzeCli, FollowProgressEmitsAHeartbeatPerChunk) {
   EXPECT_NE(err.find("events/sec"), std::string::npos) << err;
   // The second chunk stamped 4 drops, so the final heartbeat counts anomalies.
   EXPECT_NE(err.find(" 4 anomalies"), std::string::npos) << err;
+}
+
+TEST(AnalyzeCli, FollowEndsIdenticallyUnderInlineAndShardedReplay) {
+  // A real receive capture cut into drained banks, some stamped with drops,
+  // as a text and as an hwpb stream. Sharded replay (--jobs 4) prints no
+  // live summaries, but its end-of-stream line and final summary must be
+  // byte-identical to inline replay's.
+  Testbed tb;
+  tb.Arm();
+  RunNetworkReceive(tb, Sec(2), 64 * 1024, false);
+  const RawTrace raw = tb.StopAndUpload();
+  StreamCapture stream;
+  stream.timer_bits = raw.timer_bits;
+  stream.timer_clock_hz = raw.timer_clock_hz;
+  for (std::size_t at = 0; at < raw.events.size(); at += 2000) {
+    TraceChunk chunk;
+    chunk.events.assign(raw.events.begin() + at,
+                        raw.events.begin() + std::min(raw.events.size(), at + 2000));
+    chunk.dropped_before = stream.chunks.size() % 3 == 1 ? 5 : 0;
+    stream.chunks.push_back(std::move(chunk));
+  }
+  ASSERT_GT(stream.chunks.size(), 3u);
+  const std::string names_path = ::testing::TempDir() + "/cli_follow_jobs.names";
+  {
+    std::ofstream names_out(names_path);
+    names_out << tb.tags().Format();
+  }
+
+  for (const CaptureFormat format : {CaptureFormat::kText, CaptureFormat::kBinary}) {
+    const std::string path = ::testing::TempDir() + (format == CaptureFormat::kBinary
+                                                         ? "/cli_follow_jobs.hwpb"
+                                                         : "/cli_follow_jobs.hwstream");
+    ASSERT_TRUE(SaveStreamHeader(path, stream.timer_bits, stream.timer_clock_hz, format));
+    for (const TraceChunk& chunk : stream.chunks) {
+      ASSERT_TRUE(AppendStreamChunk(path, chunk));
+    }
+    auto ending = [&](const char* jobs) {
+      std::string error;
+      ::testing::internal::CaptureStdout();
+      const int rc = RunCli({path.c_str(), names_path.c_str(), "--follow", "--jobs", jobs,
+                             "--summary", "15"},
+                            &error);
+      const std::string out = ::testing::internal::GetCapturedStdout();
+      EXPECT_EQ(rc, 0) << error;
+      const std::size_t at = out.find("end of stream: ");
+      EXPECT_NE(at, std::string::npos) << out;
+      return at == std::string::npos ? std::string() : out.substr(at);
+    };
+    const std::string inline_ending = ending("1");
+    EXPECT_NE(inline_ending.find(StrFormat("end of stream: %zu chunks", stream.chunks.size())),
+              std::string::npos)
+        << inline_ending;
+    EXPECT_NE(inline_ending.find(" gaps\n"), std::string::npos) << inline_ending;
+    EXPECT_EQ(ending("4"), inline_ending)
+        << (format == CaptureFormat::kBinary ? "hwpb" : "text") << " stream";
+  }
 }
 
 // --- The hwprof_capture CLI (--config and the lookup workload) --------------------

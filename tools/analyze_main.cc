@@ -3,9 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
@@ -19,35 +18,12 @@
 #include "src/base/mmap_file.h"
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
-#include "src/profhw/binary_trace.h"
+#include "src/profhw/capture_reader.h"
 #include "src/profhw/smart_socket.h"
+#include "tools/tool_common.h"
 
 namespace hwprof {
 namespace {
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-// "file:line: reason" for every parse problem, appended to `message` (the
-// same shape TagFile diagnostics are printed in; line 0 is file-level).
-void AppendTraceDiags(const std::string& path, const std::vector<TraceDiag>& diags,
-                      std::string* message) {
-  for (const TraceDiag& d : diags) {
-    if (d.line > 0) {
-      *message += StrFormat("\n%s:%d: %s", path.c_str(), d.line, d.message.c_str());
-    } else {
-      *message += StrFormat("\n%s: %s", path.c_str(), d.message.c_str());
-    }
-  }
-}
 
 // Pipeline-telemetry section (--stats / --stats-json): everything src/obs
 // accumulated over this process — load, decode, shard replay, merge.
@@ -64,142 +40,6 @@ void PrintTelemetry(bool text, bool json) {
   if (json) {
     std::printf("{\"telemetry\": %s}\n", snap.FormatJson().c_str());
   }
-}
-
-// Everything HasAnomalies() counts, as one number for the --progress
-// heartbeat.
-std::uint64_t AnomalyTotal(const DecodedTrace& d) {
-  return d.corrupt_words + d.impossible_deltas + d.wrap_ambiguous_gaps +
-         d.unknown_tags + d.orphan_exits + d.dropped_events +
-         d.MidTraceUnclosedEntries();
-}
-
-// The batch wrapper (DecodeParallel, which replays inline at one job) plus
-// salvage-load corrupt-word accounting, which has to be injected before the
-// feed.
-DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names, unsigned jobs,
-                           std::uint64_t corrupt_words) {
-  ParallelAnalyzer analyzer(names, raw.timer_bits, raw.timer_clock_hz,
-                            ParallelOptions{.jobs = jobs});
-  analyzer.NoteCorruptWords(corrupt_words);
-  analyzer.NoteDropped(raw.dropped_events);
-  analyzer.SetClockEnvelope(raw.capture_elapsed_ns);
-  analyzer.Feed(raw.events);
-  return analyzer.Finish(raw.overflowed);
-}
-
-// Zero-copy fast path for binary capture containers: the chunk reader
-// decodes straight out of the mmap into reused SoA scratch and the columns
-// are fed to the decoder without ever materialising a RawTrace. Anomaly
-// accounting matches the load-then-decode path exactly (the format-matrix
-// tests pin this). Returns false with `error` set on a load/parse failure.
-bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
-                             unsigned jobs, bool salvage,
-                             DecodedTrace* decoded, std::string* error) {
-  MappedFile file;
-  if (!file.Open(path)) {
-    *error = StrFormat("cannot load capture '%s'\n%s: cannot open file",
-                       path.c_str(), path.c_str());
-    return false;
-  }
-  BinaryChunkReader reader(file.view(), salvage);
-  auto fail = [&] {
-    *error = StrFormat("cannot load capture '%s'", path.c_str());
-    AppendTraceDiags(path, reader.diags(), error);
-    return false;
-  };
-  if (!reader.header_ok() || reader.kind() != BinaryKind::kCapture) {
-    if (reader.header_ok()) {
-      *error = StrFormat(
-          "cannot load capture '%s'\n%s: stream container where a capture "
-          "was expected (use --follow)",
-          path.c_str(), path.c_str());
-      return false;
-    }
-    return fail();
-  }
-  ParallelAnalyzer analyzer(names, reader.timer_bits(), reader.timer_clock_hz(),
-                            ParallelOptions{.jobs = jobs});
-  analyzer.NoteDropped(reader.dropped_events());
-  analyzer.SetClockEnvelope(reader.capture_elapsed_ns());
-  SoaChunk chunk;
-  while (reader.Next(&chunk)) {
-    if (chunk.dropped_before > 0) {
-      analyzer.NoteDropped(chunk.dropped_before);
-    }
-    analyzer.FeedSoA(chunk.tags.data(), chunk.timestamps.data(), chunk.tags.size());
-  }
-  analyzer.NoteCorruptWords(reader.corrupt_words());
-  *decoded = analyzer.Finish(reader.overflowed());
-  if (!salvage && reader.failed()) {
-    return fail();
-  }
-  for (const TraceDiag& d : reader.diags()) {
-    std::printf("warning: %s @%d: %s (salvaged)\n", path.c_str(), d.line,
-                d.message.c_str());
-  }
-  return true;
-}
-
-// One capture file of either format to a DecodedTrace: binary containers go
-// through the zero-copy chunk reader, text through the load-then-decode
-// path, both honouring --jobs/--salvage. Shared by the single-capture
-// reports and both sides of --diff.
-bool DecodeAnyCaptureFile(const std::string& path, const TagFile& names,
-                          unsigned jobs, bool salvage,
-                          DecodedTrace* decoded, std::string* error) {
-  CaptureFileInfo finfo;
-  if (DetectCaptureFile(path, &finfo) && finfo.format == CaptureFormat::kBinary &&
-      !finfo.is_stream) {
-    return DecodeBinaryCaptureFile(path, names, jobs, salvage, decoded, error);
-  }
-  RawTrace raw;
-  std::vector<TraceDiag> capture_diags;
-  std::uint64_t corrupt_words = 0;
-  const bool loaded =
-      salvage ? LoadCaptureSalvage(path, &raw, &capture_diags, &corrupt_words)
-              : LoadCapture(path, &raw, &capture_diags);
-  if (!loaded) {
-    *error = StrFormat("cannot load capture '%s'", path.c_str());
-    AppendTraceDiags(path, capture_diags, error);
-    return false;
-  }
-  for (const TraceDiag& d : capture_diags) {
-    std::printf("warning: %s:%d: %s (salvaged)\n", path.c_str(), d.line,
-                d.message.c_str());
-  }
-  *decoded = DecodeCapture(raw, names, jobs, corrupt_words);
-  return true;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 // Machine-readable report: capture header, the typed anomaly counters, and
@@ -249,12 +89,13 @@ std::string FormatJson(const DecodedTrace& decoded) {
   return out;
 }
 
-// Incremental analysis of a chunked stream file: feeds each drained bank to
-// a StreamingDecoder, printing a status line and a running Figure 3 summary
-// as it goes. `--poll N` re-reads the file N times total (with a short real
-// sleep in between) so a still-appending writer can be tailed; new complete
-// chunks are picked up where the previous pass stopped. A chunk the writer
-// never finished is decoded as a truncated tail at the end.
+// Incremental analysis of a chunked stream file (either format): feeds each
+// drained bank to the engine, printing a status line (and, under inline
+// replay, a running Figure 3 summary) as it goes. `--poll N` re-reads the
+// file N times total (with a short real sleep in between) so a
+// still-appending writer can be tailed; new complete chunks are picked up
+// where the previous pass stopped. A chunk the writer never finished is
+// decoded as a truncated tail at the end.
 int FollowMain(const char* path, const TagFile& names, int argc, const char* const* argv,
                std::string* error) {
   std::size_t rows = 20;
@@ -301,33 +142,45 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
     }
   }
 
-  // Each poll re-reads (and re-parses) the whole file, so the salvage
-  // corrupt-word total is cumulative; only the delta since the previous pass
-  // is handed to the decoder.
+  // One pass over the file as it stands now: maps and re-reads it whole (a
+  // writer may still be appending) and keeps the chunks not fed by an
+  // earlier pass. The salvage corrupt-word total is cumulative over the
+  // whole file, so only the delta since the previous pass is kept.
+  std::size_t fed = 0;
   std::uint64_t corrupt_noted = 0;
-  auto load = [&](const char* verb, StreamCapture* capture,
-                  std::uint64_t* corrupt_delta) {
-    std::vector<TraceDiag> diags;
-    std::uint64_t corrupt_total = 0;
-    const bool ok = salvage
-                        ? LoadStreamSalvage(path, capture, &diags, &corrupt_total)
-                        : LoadStream(path, capture, &diags);
-    if (!ok) {
+  unsigned timer_bits = 24;
+  std::uint64_t timer_clock_hz = 1'000'000;
+  std::vector<SoaChunk> fresh;
+  bool truncated_tail = false;
+  std::uint64_t corrupt_delta = 0;
+  auto read_pass = [&](const char* verb) {
+    MappedFile file;
+    std::vector<TraceDiag> open_diags;
+    const bool opened = OpenCaptureFile(path, &file, &open_diags);
+    CaptureReader reader(file.view(), salvage);
+    fresh.clear();
+    if (opened && reader.ExpectKind(/*stream=*/true)) {
+      SoaChunk chunk;
+      for (std::size_t index = 0; reader.Next(&chunk); ++index) {
+        if (index >= fed) {
+          fresh.push_back(std::move(chunk));
+        }
+      }
+    }
+    if (!opened || reader.failed()) {
       *error = StrFormat("cannot %s stream file '%s'", verb, path);
-      AppendTraceDiags(path, diags, error);
+      AppendTraceDiags(path, opened ? reader.diags() : open_diags, error);
       return false;
     }
-    if (corrupt_delta != nullptr) {
-      *corrupt_delta =
-          corrupt_total > corrupt_noted ? corrupt_total - corrupt_noted : 0;
-      corrupt_noted = corrupt_total;
-    }
+    timer_bits = reader.timer_bits();
+    timer_clock_hz = reader.timer_clock_hz();
+    truncated_tail = reader.truncated_tail();
+    const std::uint64_t corrupt_total = reader.corrupt_words();
+    corrupt_delta = corrupt_total > corrupt_noted ? corrupt_total - corrupt_noted : 0;
+    corrupt_noted = corrupt_total;
     return true;
   };
-
-  StreamCapture capture;
-  std::uint64_t corrupt_delta = 0;
-  if (!load("load", &capture, &corrupt_delta)) {
+  if (!read_pass("load")) {
     return 1;
   }
 
@@ -338,9 +191,6 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
   // machine-clean with progress on.
   const auto follow_start = std::chrono::steady_clock::now();
   auto heartbeat = [&](std::uint64_t events, std::uint64_t anomalies) {
-    if (!progress) {
-      return;
-    }
     const double secs =
         std::chrono::duration_cast<std::chrono::duration<double>>(
             std::chrono::steady_clock::now() - follow_start)
@@ -352,94 +202,68 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
                  static_cast<unsigned long long>(anomalies), rate, secs);
   };
 
-  if (jobs != 1) {
-    ParallelOptions popts;
-    popts.jobs = jobs;
-    ParallelAnalyzer analyzer(names, capture.timer_bits, capture.timer_clock_hz, popts);
-    analyzer.NoteCorruptWords(corrupt_delta);
-    std::size_t fed = 0;
+  // The poll/feed loop, for either replay: inline replay (a StreamingDecoder)
+  // reports its lookahead backlog and prints a live summary after every
+  // chunk; sharded replay (a ParallelAnalyzer) reports the shards handed to
+  // the pool and prints the summary once, from the merged final trace. A
+  // torn tail chunk is held back until the last pass and decoded then.
+  auto follow = [&](auto& engine) {
+    constexpr bool kInline =
+        std::is_same_v<std::remove_reference_t<decltype(engine)>, StreamingDecoder>;
     for (int pass = 0; pass < polls; ++pass) {
       if (pass > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        if (!load("re-read", &capture, &corrupt_delta)) {
+        if (!read_pass("re-read")) {
           return 1;
         }
-        analyzer.NoteCorruptWords(corrupt_delta);
       }
-      const std::size_t complete = capture.chunks.size() - (capture.truncated_tail ? 1 : 0);
-      for (; fed < complete; ++fed) {
-        const TraceChunk& chunk = capture.chunks[fed];
-        analyzer.FeedChunk(chunk);
+      engine.NoteCorruptWords(corrupt_delta);
+      const std::size_t complete = fresh.size() - (truncated_tail && !fresh.empty() ? 1 : 0);
+      for (std::size_t i = 0; i < complete; ++i, ++fed) {
+        const SoaChunk& chunk = fresh[i];
+        engine.FeedChunk(chunk);
         std::printf(
             "chunk %zu: %zu events (%llu dropped before) | stream so far: %llu events, "
-            "%llu dropped, %zu shards in flight\n",
-            fed, chunk.events.size(),
-            static_cast<unsigned long long>(chunk.dropped_before),
-            static_cast<unsigned long long>(analyzer.events_seen()),
-            static_cast<unsigned long long>(analyzer.dropped_events()),
-            analyzer.shards_planned());
-        heartbeat(analyzer.events_seen(), analyzer.dropped_events());
+            "%llu dropped, ",
+            fed, chunk.tags.size(), static_cast<unsigned long long>(chunk.dropped_before),
+            static_cast<unsigned long long>(engine.events_seen()),
+            static_cast<unsigned long long>(engine.dropped_events()));
+        if constexpr (kInline) {
+          std::printf("%zu awaiting lookahead\n", engine.pending());
+          if (progress) {
+            heartbeat(engine.events_seen(), engine.SnapshotStats().AnomalyTotal());
+          }
+          std::printf("%s\n", Summary(engine.SnapshotStats()).Format(rows).c_str());
+        } else {
+          std::printf("%zu shards in flight\n", engine.shards_planned());
+          if (progress) {
+            heartbeat(engine.events_seen(), engine.dropped_events());
+          }
+        }
       }
     }
-    bool truncated = false;
-    if (capture.truncated_tail && fed < capture.chunks.size()) {
-      analyzer.FeedChunk(capture.chunks[fed]);
+    const bool truncated = truncated_tail && !fresh.empty();
+    if (truncated) {
+      // The writer never finished this chunk; decode what made it to disk.
+      engine.FeedChunk(fresh.back());
       ++fed;
-      truncated = true;
     }
-    const DecodedTrace decoded = analyzer.Finish(truncated);
-    std::printf("end of stream: %zu chunks, %llu events, %llu dropped in %llu gaps%s\n",
-                fed, static_cast<unsigned long long>(decoded.event_count),
+    const DecodedTrace decoded = engine.Finish(truncated);
+    std::printf("end of stream: %zu chunks, %llu events, %llu dropped in %llu gaps%s\n", fed,
+                static_cast<unsigned long long>(decoded.event_count),
                 static_cast<unsigned long long>(decoded.dropped_events),
                 static_cast<unsigned long long>(decoded.capture_gaps),
                 truncated ? " (truncated tail)" : "");
     std::printf("%s\n", Summary(decoded).Format(rows).c_str());
     PrintTelemetry(stats, stats_json);
     return 0;
+  };
+  if (jobs == 1) {
+    StreamingDecoder decoder(names, timer_bits, timer_clock_hz);
+    return follow(decoder);
   }
-  StreamingDecoder decoder(names, capture.timer_bits, capture.timer_clock_hz);
-  decoder.NoteCorruptWords(corrupt_delta);
-  std::size_t fed = 0;
-  for (int pass = 0; pass < polls; ++pass) {
-    if (pass > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      if (!load("re-read", &capture, &corrupt_delta)) {
-        return 1;
-      }
-      decoder.NoteCorruptWords(corrupt_delta);
-    }
-    const std::size_t complete = capture.chunks.size() - (capture.truncated_tail ? 1 : 0);
-    for (; fed < complete; ++fed) {
-      const TraceChunk& chunk = capture.chunks[fed];
-      decoder.FeedChunk(chunk);
-      std::printf(
-          "chunk %zu: %zu events (%llu dropped before) | stream so far: %llu events, "
-          "%llu dropped, %zu awaiting lookahead\n",
-          fed, chunk.events.size(), static_cast<unsigned long long>(chunk.dropped_before),
-          static_cast<unsigned long long>(decoder.events_seen()),
-          static_cast<unsigned long long>(decoder.dropped_events()), decoder.pending());
-      if (progress) {
-        heartbeat(decoder.events_seen(), AnomalyTotal(decoder.SnapshotStats()));
-      }
-      std::printf("%s\n", Summary(decoder.SnapshotStats()).Format(rows).c_str());
-    }
-  }
-  bool truncated = false;
-  if (capture.truncated_tail && fed < capture.chunks.size()) {
-    // The writer never finished this chunk; decode what made it to disk.
-    decoder.FeedChunk(capture.chunks[fed]);
-    ++fed;
-    truncated = true;
-  }
-  const DecodedTrace decoded = decoder.Finish(truncated);
-  std::printf("end of stream: %zu chunks, %llu events, %llu dropped in %llu gaps%s\n", fed,
-              static_cast<unsigned long long>(decoded.event_count),
-              static_cast<unsigned long long>(decoded.dropped_events),
-              static_cast<unsigned long long>(decoded.capture_gaps),
-              truncated ? " (truncated tail)" : "");
-  std::printf("%s\n", Summary(decoded).Format(rows).c_str());
-  PrintTelemetry(stats, stats_json);
-  return 0;
+  ParallelAnalyzer analyzer(names, timer_bits, timer_clock_hz, ParallelOptions{.jobs = jobs});
+  return follow(analyzer);
 }
 
 // `hwprof_analyze --diff A B <names>`: decode both captures (any format,
@@ -511,22 +335,18 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
     }
   }
 
-  std::string names_text;
   TagFile names;
-  std::vector<TagDiag> names_diags;
-  if (!ReadFileToString(names_path, &names_text) ||
-      !TagFile::Parse(names_text, &names, &names_diags)) {
-    *error = StrFormat("cannot parse names file '%s'", names_path.c_str());
-    for (const TagDiag& d : names_diags) {
-      *error += StrFormat("\n%s:%d: %s", names_path.c_str(), d.line, d.message.c_str());
-    }
+  if (!LoadNamesFile(names_path, &names, error)) {
     return 1;
   }
-
+  auto decode = [&](const std::string& path, DecodedTrace* decoded) {
+    MappedFile file;
+    return OpenCapture(path, &file, error) &&
+           DecodeCapture(path, file.view(), names, jobs, salvage, stdout, decoded, error);
+  };
   DecodedTrace baseline;
   DecodedTrace candidate;
-  if (!DecodeAnyCaptureFile(path_a, names, jobs, salvage, &baseline, error) ||
-      !DecodeAnyCaptureFile(path_b, names, jobs, salvage, &candidate, error)) {
+  if (!decode(path_a, &baseline) || !decode(path_b, &candidate)) {
     return 1;
   }
 
@@ -557,23 +377,14 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     return 2;
   }
 
-  std::string names_text;
   TagFile names;
-  std::vector<TagDiag> names_diags;
-  const bool have_names = ReadFileToString(argv[2], &names_text) &&
-                          TagFile::Parse(names_text, &names, &names_diags);
-  auto names_error = [&] {
-    std::string message = StrFormat("cannot parse names file '%s'", argv[2]);
-    for (const TagDiag& d : names_diags) {
-      message += StrFormat("\n%s:%d: %s", argv[2], d.line, d.message.c_str());
-    }
-    return message;
-  };
+  std::string names_error;
+  const bool have_names = LoadNamesFile(argv[2], &names, &names_error);
 
   for (int i = 3; i < argc; ++i) {
     if (std::string(argv[i]) == "--follow") {
       if (!have_names) {
-        *error = names_error();
+        *error = names_error;
         return 1;
       }
       return FollowMain(argv[1], names, argc, argv, error);
@@ -598,22 +409,21 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     }
   }
 
+  DecodedTrace decoded;
   {
-    // Report an unreadable capture before any names-file problem, as the
-    // decode itself would.
-    std::ifstream probe(argv[1], std::ios::binary);
-    if (!probe.good()) {
-      *error = StrFormat("cannot load capture '%s'", argv[1]);
+    // Report an unreadable capture before any names-file problem.
+    MappedFile file;
+    if (!OpenCapture(argv[1], &file, error)) {
       return 1;
     }
-  }
-  if (!have_names) {
-    *error = names_error();
-    return 1;
-  }
-  DecodedTrace decoded;
-  if (!DecodeAnyCaptureFile(argv[1], names, jobs, salvage, &decoded, error)) {
-    return 1;
+    if (!have_names) {
+      *error = names_error;
+      return 1;
+    }
+    if (!DecodeCapture(argv[1], file.view(), names, jobs, salvage, stdout, &decoded,
+                       error)) {
+      return 1;
+    }
   }
   if (decoded.unknown_tags > 0) {
     // Warning chatter goes to stderr: `--json | jq` must keep parsing.
@@ -683,7 +493,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
       // loop to beat along with); stdout report output is untouched.
       std::fprintf(stderr, "progress: %llu events, %llu anomalies (decoded)\n",
                    static_cast<unsigned long long>(decoded.event_count),
-                   static_cast<unsigned long long>(AnomalyTotal(decoded)));
+                   static_cast<unsigned long long>(decoded.AnomalyTotal()));
     } else if (arg == "--jobs") {
       next_number(0);  // already consumed before the decode
     } else if (arg == "--salvage") {

@@ -10,6 +10,8 @@ namespace hwprof {
 
 // Runs the analyzer:
 //   hwprof_analyze <capture-file> <names-file> [options]
+// The capture may be a one-shot capture or a chunked stream, as text or
+// hwpb (auto-detected by the CaptureReader); --follow tails a stream.
 // Options:
 //   --summary N      top-N function summary (default report, N=20)
 //   --trace N        first N code-path trace lines

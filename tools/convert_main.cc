@@ -3,23 +3,15 @@
 #include <cstdio>
 #include <fstream>
 
+#include "src/base/mmap_file.h"
 #include "src/base/strings.h"
 #include "src/profhw/binary_trace.h"
+#include "src/profhw/capture_reader.h"
 #include "src/profhw/smart_socket.h"
+#include "tools/tool_common.h"
 
 namespace hwprof {
 namespace {
-
-void AppendTraceDiags(const std::string& path, const std::vector<TraceDiag>& diags,
-                      std::string* message) {
-  for (const TraceDiag& d : diags) {
-    if (d.line > 0) {
-      *message += StrFormat("\n%s:%d: %s", path.c_str(), d.line, d.message.c_str());
-    } else {
-      *message += StrFormat("\n%s: %s", path.c_str(), d.message.c_str());
-    }
-  }
-}
 
 bool WriteWholeFile(const std::string& path, const std::string& bytes,
                     std::string* error) {
@@ -60,26 +52,31 @@ int ConvertMain(int argc, const char* const* argv, std::string* error) {
     }
   }
 
-  CaptureFileInfo info;
-  if (!DetectCaptureFile(in_path, &info)) {
+  MappedFile file;
+  std::vector<TraceDiag> diags;
+  const bool opened = OpenCaptureFile(in_path, &file, &diags);
+  CaptureReader reader(file.view(), /*salvage=*/false);
+  if (!opened || !reader.header_ok()) {
     *error = StrFormat(
         "cannot identify '%s': expected the binary container magic or an "
         "'hwprof-raw'/'hwprof-stream' text header",
         in_path.c_str());
+    AppendTraceDiags(in_path, opened ? reader.diags() : diags, error);
     return 1;
   }
+  const CaptureFormat from = reader.format();
+  const bool is_stream = reader.is_stream();
   const CaptureFormat target =
-      to.empty() ? (info.format == CaptureFormat::kText ? CaptureFormat::kBinary
-                                                        : CaptureFormat::kText)
+      to.empty() ? (from == CaptureFormat::kText ? CaptureFormat::kBinary
+                                                 : CaptureFormat::kText)
       : to == "binary" ? CaptureFormat::kBinary
                        : CaptureFormat::kText;
 
   std::string bytes;
   std::uint64_t events = 0;
-  std::vector<TraceDiag> diags;
-  if (info.is_stream) {
+  if (is_stream) {
     StreamCapture stream;
-    if (!LoadStream(in_path, &stream, &diags)) {
+    if (!ReadStream(reader, &stream, &diags)) {
       *error = StrFormat("cannot load stream '%s'", in_path.c_str());
       AppendTraceDiags(in_path, diags, error);
       return 1;
@@ -99,7 +96,7 @@ int ConvertMain(int argc, const char* const* argv, std::string* error) {
                                              : SerializeStreamText(stream);
   } else {
     RawTrace raw;
-    if (!LoadCapture(in_path, &raw, &diags)) {
+    if (!ReadCapture(reader, &raw, &diags)) {
       *error = StrFormat("cannot load capture '%s'", in_path.c_str());
       AppendTraceDiags(in_path, diags, error);
       return 1;
@@ -112,8 +109,8 @@ int ConvertMain(int argc, const char* const* argv, std::string* error) {
     return 1;
   }
   std::printf("%s: %s %s -> %s %s (%llu events, %zu bytes)\n", in_path.c_str(),
-              info.format == CaptureFormat::kBinary ? "binary" : "text",
-              info.is_stream ? "stream" : "capture",
+              from == CaptureFormat::kBinary ? "binary" : "text",
+              is_stream ? "stream" : "capture",
               target == CaptureFormat::kBinary ? "binary" : "text",
               out_path.c_str(), static_cast<unsigned long long>(events),
               bytes.size());

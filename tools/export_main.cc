@@ -2,62 +2,15 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/export.h"
-#include "src/analysis/parallel.h"
+#include "src/base/mmap_file.h"
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
-#include "src/profhw/smart_socket.h"
+#include "tools/tool_common.h"
 
 namespace hwprof {
-namespace {
-
-void AppendTraceDiags(const std::string& path,
-                      const std::vector<TraceDiag>& diags,
-                      std::string* message) {
-  for (const TraceDiag& d : diags) {
-    if (d.line > 0) {
-      *message +=
-          StrFormat("\n%s:%d: %s", path.c_str(), d.line, d.message.c_str());
-    } else {
-      *message += StrFormat("\n%s: %s", path.c_str(), d.message.c_str());
-    }
-  }
-}
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-// Decodes either capture flavour; inline and sharded replay are
-// byte-identical by contract, so the caller's --jobs choice never shows in
-// the export.
-DecodedTrace DecodeWith(ParallelAnalyzer& engine, const RawTrace* raw,
-                        const StreamCapture* stream, std::uint64_t corrupt_words) {
-  engine.NoteCorruptWords(corrupt_words);
-  if (raw != nullptr) {
-    engine.NoteDropped(raw->dropped_events);
-    engine.SetClockEnvelope(raw->capture_elapsed_ns);
-    engine.Feed(raw->events);
-    return engine.Finish(raw->overflowed);
-  }
-  const std::size_t chunks = stream->chunks.size();
-  for (std::size_t i = 0; i < chunks; ++i) {
-    engine.FeedChunk(stream->chunks[i]);
-  }
-  return engine.Finish(stream->truncated_tail);
-}
-
-}  // namespace
 
 int ExportMain(int argc, const char* const* argv, std::string* error) {
   if (argc < 3) {
@@ -109,64 +62,28 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
     return 2;
   }
 
-  std::string names_text;
   TagFile names;
-  std::vector<TagDiag> names_diags;
-  if (!ReadFileToString(names_path, &names_text) ||
-      !TagFile::Parse(names_text, &names, &names_diags)) {
-    *error = StrFormat("cannot parse names file '%s'", names_path.c_str());
-    for (const TagDiag& d : names_diags) {
-      *error += StrFormat("\n%s:%d: %s", names_path.c_str(), d.line,
-                          d.message.c_str());
-    }
+  if (!LoadNamesFile(names_path, &names, error)) {
     return 1;
   }
 
-  // Auto-detect the capture flavour (and format) from the file's magic.
-  CaptureFileInfo finfo;
-  if (!DetectCaptureFile(capture_path, &finfo)) {
-    // Unrecognisable header: fall through to the capture loader for its
-    // detailed diagnostics (a missing file reports there too).
-    finfo = CaptureFileInfo{};
-  }
-  const bool is_stream = finfo.is_stream;
-
+  // Either kind and format; inline and sharded replay are byte-identical by
+  // contract, so the caller's --jobs choice never shows in the export.
   OBS_SPAN_BEGIN(load);
-  RawTrace raw;
-  StreamCapture stream;
-  std::vector<TraceDiag> diags;
-  std::uint64_t corrupt_words = 0;
-  bool loaded;
-  if (is_stream) {
-    loaded = salvage
-                 ? LoadStreamSalvage(capture_path, &stream, &diags,
-                                     &corrupt_words)
-                 : LoadStream(capture_path, &stream, &diags);
-  } else {
-    loaded = salvage ? LoadCaptureSalvage(capture_path, &raw, &diags,
-                                          &corrupt_words)
-                     : LoadCapture(capture_path, &raw, &diags);
-  }
+  MappedFile file;
+  const bool opened = OpenCapture(capture_path, &file, error);
   OBS_SPAN_END(load, "export.load");
-  if (!loaded) {
-    *error = StrFormat("cannot load capture '%s'", capture_path.c_str());
-    AppendTraceDiags(capture_path, diags, error);
+  if (!opened) {
     return 1;
   }
-  for (const TraceDiag& d : diags) {
-    std::fprintf(stderr, "warning: %s:%d: %s (salvaged)\n",
-                 capture_path.c_str(), d.line, d.message.c_str());
-  }
-
-  const RawTrace* raw_in = is_stream ? nullptr : &raw;
-  const StreamCapture* stream_in = is_stream ? &stream : nullptr;
-  const unsigned timer_bits = is_stream ? stream.timer_bits : raw.timer_bits;
-  const std::uint64_t timer_hz =
-      is_stream ? stream.timer_clock_hz : raw.timer_clock_hz;
   OBS_SPAN_BEGIN(decode);
-  ParallelAnalyzer analyzer(names, timer_bits, timer_hz, ParallelOptions{.jobs = jobs});
-  const DecodedTrace decoded = DecodeWith(analyzer, raw_in, stream_in, corrupt_words);
+  DecodedTrace decoded;
+  const bool decoded_ok = DecodeCapture(capture_path, file.view(), names, jobs, salvage,
+                                        stderr, &decoded, error);
   OBS_SPAN_END(decode, "export.decode");
+  if (!decoded_ok) {
+    return 1;
+  }
 
   // The telemetry tracks render only counters whose totals are independent
   // of the decode path chosen by --jobs: the per-decode anomaly ledger

@@ -11,8 +11,8 @@ namespace hwprof {
 
 // Runs the exporter:
 //   hwprof_export <capture-file> <names-file> [options]
-// The capture may be either a one-shot `hwprof-raw v1` file or a chunked
-// `hwprof-stream v1` file (auto-detected from the header line).
+// The capture may be a one-shot capture or a chunked stream, as text or
+// hwpb (auto-detected by the CaptureReader).
 // Options:
 //   --format FMT     trace-event (default): Chrome/Perfetto trace-event
 //                    JSON — open at ui.perfetto.dev or chrome://tracing.

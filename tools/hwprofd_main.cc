@@ -3,7 +3,6 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "src/service/soak.h"
 #include "src/snmp/mib.h"
 #include "src/snmp/telemetry_mib.h"
+#include "tools/tool_common.h"
 
 namespace hwprof {
 
@@ -23,17 +23,6 @@ namespace {
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void StopSignalHandler(int /*signum*/) { g_stop_requested = 1; }
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
 
 bool ParseSizeFlag(const char* what, const char* value, std::uint64_t* out,
                    std::string* error) {
