@@ -42,6 +42,12 @@ const std::array<std::uint64_t, kHistogramBuckets - 1>& HistogramBoundsNs() {
   return kBounds;
 }
 
+std::size_t HistogramBucket(std::uint64_t ns) {
+  const auto& bounds = HistogramBoundsNs();
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), ns) - bounds.begin());
+}
+
 bool Enabled() {
 #if defined(HWPROF_NO_TELEMETRY)
   return false;
@@ -322,14 +328,7 @@ void LatencyHistogram::RecordNs(std::uint64_t ns) {
   while (ns > seen && !cell.max.compare_exchange_weak(
                           seen, ns, std::memory_order_relaxed)) {
   }
-  const auto& bounds = HistogramBoundsNs();
-  int b = 0;
-  while (b < kHistogramBuckets - 1 &&
-         ns > bounds[static_cast<std::size_t>(b)]) {
-    ++b;
-  }
-  cell.buckets[static_cast<std::size_t>(b)].fetch_add(
-      1, std::memory_order_relaxed);
+  cell.buckets[HistogramBucket(ns)].fetch_add(1, std::memory_order_relaxed);
 }
 
 Snapshot GlobalSnapshot() {

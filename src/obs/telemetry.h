@@ -53,6 +53,9 @@ const char* MetricKindName(MetricKind kind);
 // Fixed log-ish bucket ladder, in nanoseconds: 1us .. 1s, then overflow.
 inline constexpr int kHistogramBuckets = 20;
 const std::array<std::uint64_t, kHistogramBuckets - 1>& HistogramBoundsNs();
+// The bucket a sample lands in: the first bound >= ns, else the overflow
+// bucket. The one ladder rule for live histograms and hand-built ladders.
+std::size_t HistogramBucket(std::uint64_t ns);
 
 // One merged metric as rendered by a snapshot. Field use depends on kind:
 //   counter:   count

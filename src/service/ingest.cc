@@ -21,35 +21,28 @@ void LadderRecord(obs::MetricValue* m, std::uint64_t v) {
   m->max_ns = std::max(m->max_ns, v);
   ++m->count;
   m->sum_ns += v;
-  const auto& bounds = obs::HistogramBoundsNs();
-  int b = 0;
-  while (b < obs::kHistogramBuckets - 1 &&
-         v > bounds[static_cast<std::size_t>(b)]) {
-    ++b;
-  }
-  ++m->buckets[static_cast<std::size_t>(b)];
-}
-
-void CountDropTelemetry(DropReason reason) {
-  switch (reason) {
-    case DropReason::kNone:
-      break;
-    case DropReason::kEmpty:
-      OBS_COUNT("service.drop.empty", 1);
-      break;
-    case DropReason::kOversize:
-      OBS_COUNT("service.drop.oversize", 1);
-      break;
-    case DropReason::kQueueFull:
-      OBS_COUNT("service.drop.queue_full", 1);
-      break;
-    case DropReason::kDraining:
-      OBS_COUNT("service.drop.draining", 1);
-      break;
-  }
+  ++m->buckets[obs::HistogramBucket(v)];
 }
 
 }  // namespace
+
+TenantCounters& TenantCounters::operator+=(const TenantCounters& other) {
+  offered += other.offered;
+  accepted += other.accepted;
+  offered_bytes += other.offered_bytes;
+  accepted_bytes += other.accepted_bytes;
+  dropped_bytes += other.dropped_bytes;
+  for (int i = 0; i < kDropReasonCount; ++i) {
+    dropped[i] += other.dropped[i];
+  }
+  summaries += other.summaries;
+  malformed += other.malformed;
+  cache_hits += other.cache_hits;
+  decoded_events += other.decoded_events;
+  anomalies += other.anomalies;
+  last_ingest_id = std::max(last_ingest_id, other.last_ingest_id);
+  return *this;
+}
 
 const char* DropReasonName(DropReason reason) {
   switch (reason) {
@@ -94,7 +87,7 @@ IngestService::IngestService(const TagFile& names, ServiceOptions options)
       options_(std::move(options)),
       clock_(options_.clock ? options_.clock : [] { return obs::MonotonicNowNs(); }),
       event_log_(options_.event_log_capacity),
-      timeseries_(options_.timeseries_capacity) {
+      timeseries_(kTimeseriesCapacity) {
   start_t_ns_ = clock_();
   upload_bytes_ladder_.name = "svc.upload_bytes";
   upload_bytes_ladder_.kind = obs::MetricKind::kHistogram;
@@ -115,110 +108,70 @@ unsigned IngestService::workers() const { return options_.workers; }
 
 SubmitResult IngestService::Submit(const std::string& tenant,
                                    std::string payload) {
-  const std::size_t bytes = payload.size();
-  SubmitResult result;
-  QueueItem item;
-  bool inline_process = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    result.ingest_id = next_ingest_id_++;
-    TenantCounters& tc = tenants_[tenant];
-    ++tc.offered;
-    tc.offered_bytes += bytes;
-    ++totals_.offered;
-    totals_.offered_bytes += bytes;
-    tc.last_ingest_id = result.ingest_id;
-
-    DropReason reason = DropReason::kNone;
-    const std::size_t shard_index =
-        static_cast<std::size_t>(HashPayload(tenant) % shards_.size());
-    if (draining_ || stopping_) {
-      reason = DropReason::kDraining;
-    } else if (bytes == 0) {
-      reason = DropReason::kEmpty;
-    } else if (bytes > options_.max_upload_bytes) {
-      reason = DropReason::kOversize;
-    } else if (options_.workers > 0 &&
-               (shards_[shard_index].queue.size() >= options_.queue_max_depth ||
-                queue_bytes_ + bytes > options_.queue_max_bytes)) {
-      reason = DropReason::kQueueFull;
-    }
-
-    if (reason != DropReason::kNone) {
-      const auto ri = static_cast<std::size_t>(reason);
-      ++tc.dropped[ri];
-      ++totals_.dropped[ri];
-      totals_.dropped_bytes += bytes;
-      event_log_.Append(clock_(), result.ingest_id, tenant, "capture",
-                        StrFormat("drop reason=%s bytes=%zu",
-                                  DropReasonName(reason), bytes));
-      result.accepted = false;
-      result.reason = reason;
-      lock.unlock();
-      OBS_COUNT("service.uploads_offered", 1);
-      CountDropTelemetry(reason);
-      return result;
-    }
-
-    ++tc.accepted;
-    tc.accepted_bytes += bytes;
-    ++totals_.accepted;
-    totals_.accepted_bytes += bytes;
-    LadderRecord(&upload_bytes_ladder_, bytes);
-    event_log_.Append(clock_(), result.ingest_id, tenant, "capture",
-                      StrFormat("accept bytes=%zu shard=%zu", bytes,
-                                shard_index));
-    result.accepted = true;
-
-    item.ingest_id = result.ingest_id;
-    item.tenant = tenant;
-    item.payload = std::move(payload);
+  const SubmitResult result = Admit(tenant, payload.size(), &payload);
+  if (result.accepted) {
     if (options_.workers == 0) {
-      inline_process = true;
+      Process(QueueItem{result.ingest_id, tenant, std::move(payload)});
     } else {
-      ++in_flight_;
-      queue_bytes_ += bytes;
-      peak_queue_bytes_ = std::max(peak_queue_bytes_, queue_bytes_);
-      shards_[shard_index].queue.push_back(std::move(item));
+      work_cv_.notify_all();
     }
-  }
-  OBS_COUNT("service.uploads_offered", 1);
-  OBS_COUNT("service.uploads_accepted", 1);
-  OBS_COUNT("service.upload_bytes", bytes);
-  if (inline_process) {
-    Process(item);
-  } else {
-    OBS_GAUGE_ADD("service.queue_bytes", static_cast<std::int64_t>(bytes));
-    OBS_GAUGE_ADD("service.queue_depth", 1);
-    work_cv_.notify_all();
   }
   return result;
 }
 
 SubmitResult IngestService::RejectOversize(const std::string& tenant,
                                            std::uint64_t declared_bytes) {
+  return Admit(tenant, declared_bytes, /*payload=*/nullptr);
+}
+
+SubmitResult IngestService::Admit(const std::string& tenant,
+                                  std::uint64_t bytes, std::string* payload) {
+  std::lock_guard<std::mutex> lock(mu_);
   SubmitResult result;
-  result.reason = DropReason::kOversize;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    result.ingest_id = next_ingest_id_++;
-    TenantCounters& tc = tenants_[tenant];
-    ++tc.offered;
-    tc.offered_bytes += declared_bytes;
-    ++totals_.offered;
-    totals_.offered_bytes += declared_bytes;
-    tc.last_ingest_id = result.ingest_id;
-    const auto ri = static_cast<std::size_t>(DropReason::kOversize);
-    ++tc.dropped[ri];
-    ++totals_.dropped[ri];
-    totals_.dropped_bytes += declared_bytes;
-    event_log_.Append(
-        clock_(), result.ingest_id, tenant, "capture",
-        StrFormat("drop reason=oversize bytes=%llu",
-                  static_cast<unsigned long long>(declared_bytes)));
+  result.ingest_id = next_ingest_id_++;
+  TenantCounters& tc = tenants_[tenant];
+  ++tc.offered;
+  tc.offered_bytes += bytes;
+  tc.last_ingest_id = result.ingest_id;
+
+  const std::size_t shard_index =
+      static_cast<std::size_t>(HashPayload(tenant) % shards_.size());
+  if (draining_) {
+    result.reason = DropReason::kDraining;
+  } else if (bytes == 0) {
+    result.reason = DropReason::kEmpty;
+  } else if (payload == nullptr || bytes > options_.max_upload_bytes) {
+    result.reason = DropReason::kOversize;
+  } else if (options_.workers > 0 &&
+             (shards_[shard_index].queue.size() >= options_.queue_max_depth ||
+              queue_bytes_ + bytes > options_.queue_max_bytes)) {
+    result.reason = DropReason::kQueueFull;
   }
-  OBS_COUNT("service.uploads_offered", 1);
-  CountDropTelemetry(DropReason::kOversize);
+  if (result.reason != DropReason::kNone) {
+    ++tc.dropped[static_cast<std::size_t>(result.reason)];
+    tc.dropped_bytes += bytes;
+    event_log_.Append(clock_(), result.ingest_id, tenant, "capture",
+                      StrFormat("drop reason=%s bytes=%llu",
+                                DropReasonName(result.reason),
+                                static_cast<unsigned long long>(bytes)));
+    return result;
+  }
+
+  result.accepted = true;
+  ++tc.accepted;
+  tc.accepted_bytes += bytes;
+  LadderRecord(&upload_bytes_ladder_, bytes);
+  event_log_.Append(clock_(), result.ingest_id, tenant, "capture",
+                    StrFormat("accept bytes=%llu shard=%zu",
+                              static_cast<unsigned long long>(bytes),
+                              shard_index));
+  if (options_.workers > 0) {
+    ++in_flight_;
+    queue_bytes_ += bytes;
+    peak_queue_bytes_ = std::max(peak_queue_bytes_, queue_bytes_);
+    shards_[shard_index].queue.push_back(
+        QueueItem{result.ingest_id, tenant, std::move(*payload)});
+  }
   return result;
 }
 
@@ -236,9 +189,6 @@ void IngestService::WorkerLoop(std::size_t shard_index) {
       shard.queue.pop_front();
       queue_bytes_ -= item.payload.size();
     }
-    OBS_GAUGE_ADD("service.queue_bytes",
-                  -static_cast<std::int64_t>(item.payload.size()));
-    OBS_GAUGE_ADD("service.queue_depth", -1);
     Process(item);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -292,66 +242,50 @@ UploadOutcome IngestService::DecodePayload(const std::string& payload,
 void IngestService::FinishUpload(const QueueItem& item,
                                  const UploadOutcome& outcome, bool malformed,
                                  bool cache_hit) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TenantCounters& tc = tenants_[item.tenant];
-    if (malformed) {
-      ++tc.malformed;
-      ++totals_.malformed;
-      event_log_.Append(clock_(), item.ingest_id, item.tenant, "decode",
-                        "malformed payload");
-    } else {
-      if (cache_hit) {
-        ++tc.cache_hits;
-        ++totals_.cache_hits;
-      }
-      tc.decoded_events += outcome.events;
-      tc.anomalies += outcome.anomalies;
-      totals_.decoded_events += outcome.events;
-      totals_.anomalies += outcome.anomalies;
-      LadderRecord(&upload_events_ladder_, outcome.events);
-      event_log_.Append(
-          clock_(), item.ingest_id, item.tenant, "decode",
-          StrFormat("events=%llu anomalies=%llu cache=%s",
-                    static_cast<unsigned long long>(outcome.events),
-                    static_cast<unsigned long long>(outcome.anomalies),
-                    cache_hit ? "hit" : "miss"));
-      ++tc.summaries;
-      ++totals_.summaries;
-      event_log_.Append(
-          clock_(), item.ingest_id, item.tenant, "summary",
-          StrFormat("bytes=%zu hash=%016llx", outcome.summary.size(),
-                    static_cast<unsigned long long>(outcome.hash)));
-      if (!cache_hit) {
-        // Insert (or refresh) under LRU eviction.
-        auto it = cache_.find(outcome.hash);
-        if (it == cache_.end() && options_.cache_capacity > 0) {
-          cache_.emplace(outcome.hash, outcome);
-          cache_pos_[outcome.hash] =
-              cache_lru_.insert(cache_lru_.end(), outcome.hash);
-          while (cache_.size() > options_.cache_capacity) {
-            const std::uint64_t oldest = cache_lru_.front();
-            cache_.erase(oldest);
-            cache_pos_.erase(oldest);
-            cache_lru_.pop_front();
-          }
-        }
-      } else {
-        // Touch: splice the node to the back of the recency list, O(1).
-        const auto pos = cache_pos_.find(outcome.hash);
-        if (pos != cache_pos_.end()) {
-          cache_lru_.splice(cache_lru_.end(), cache_lru_, pos->second);
-        }
+  std::lock_guard<std::mutex> lock(mu_);
+  TenantCounters& tc = tenants_[item.tenant];
+  if (malformed) {
+    ++tc.malformed;
+    event_log_.Append(clock_(), item.ingest_id, item.tenant, "decode",
+                      "malformed payload");
+    return;
+  }
+  if (cache_hit) {
+    ++tc.cache_hits;
+  }
+  tc.decoded_events += outcome.events;
+  tc.anomalies += outcome.anomalies;
+  LadderRecord(&upload_events_ladder_, outcome.events);
+  event_log_.Append(
+      clock_(), item.ingest_id, item.tenant, "decode",
+      StrFormat("events=%llu anomalies=%llu cache=%s",
+                static_cast<unsigned long long>(outcome.events),
+                static_cast<unsigned long long>(outcome.anomalies),
+                cache_hit ? "hit" : "miss"));
+  ++tc.summaries;
+  event_log_.Append(
+      clock_(), item.ingest_id, item.tenant, "summary",
+      StrFormat("bytes=%zu hash=%016llx", outcome.summary.size(),
+                static_cast<unsigned long long>(outcome.hash)));
+  if (!cache_hit) {
+    // Insert (or refresh) under LRU eviction.
+    auto it = cache_.find(outcome.hash);
+    if (it == cache_.end() && options_.cache_capacity > 0) {
+      cache_.emplace(outcome.hash, outcome);
+      cache_pos_[outcome.hash] =
+          cache_lru_.insert(cache_lru_.end(), outcome.hash);
+      while (cache_.size() > options_.cache_capacity) {
+        const std::uint64_t oldest = cache_lru_.front();
+        cache_.erase(oldest);
+        cache_pos_.erase(oldest);
+        cache_lru_.pop_front();
       }
     }
-  }
-  if (malformed) {
-    OBS_COUNT("service.malformed", 1);
   } else {
-    OBS_COUNT("service.summaries", 1);
-    OBS_COUNT("service.decoded_events", outcome.events);
-    if (cache_hit) {
-      OBS_COUNT("service.cache_hits", 1);
+    // Touch: splice the node to the back of the recency list, O(1).
+    const auto pos = cache_pos_.find(outcome.hash);
+    if (pos != cache_pos_.end()) {
+      cache_lru_.splice(cache_lru_.end(), cache_lru_, pos->second);
     }
   }
 }
@@ -407,39 +341,11 @@ std::uint64_t IngestService::Tick() {
   return t;
 }
 
-Health IngestService::health() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (draining_ || stopping_) {
-    return Health::kDraining;
+ServiceStats IngestService::StatsLocked() const {
+  ServiceStats out;
+  for (const auto& [name, tc] : tenants_) {
+    out += tc;
   }
-  if (totals_.DroppedTotal() > 0 || totals_.malformed > 0) {
-    return Health::kDegraded;
-  }
-  return Health::kReady;
-}
-
-std::string IngestService::HealthDetail() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (draining_ || stopping_) {
-    std::size_t queued = 0;
-    for (const Shard& s : shards_) {
-      queued += s.queue.size();
-    }
-    return StrFormat("queued=%zu in_flight=%zu", queued, in_flight_);
-  }
-  if (totals_.DroppedTotal() > 0 || totals_.malformed > 0) {
-    return StrFormat(
-        "drops=%llu malformed=%llu",
-        static_cast<unsigned long long>(totals_.DroppedTotal()),
-        static_cast<unsigned long long>(totals_.malformed));
-  }
-  return "ok";
-}
-
-ServiceStats IngestService::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServiceStats out = totals_;
-  out.queue_depth = 0;
   for (const Shard& s : shards_) {
     out.queue_depth += s.queue.size();
   }
@@ -450,8 +356,45 @@ ServiceStats IngestService::Stats() const {
   return out;
 }
 
+ServiceStats IngestService::Stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return StatsLocked();
+}
+
+Health IngestService::HealthLocked(const ServiceStats& stats) const {
+  if (draining_) {
+    return Health::kDraining;
+  }
+  if (stats.DroppedTotal() > 0 || stats.malformed > 0) {
+    return Health::kDegraded;
+  }
+  return Health::kReady;
+}
+
+Health IngestService::health() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return HealthLocked(StatsLocked());
+}
+
+std::string IngestService::HealthDetail() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const ServiceStats s = StatsLocked();
+  switch (HealthLocked(s)) {
+    case Health::kDraining:
+      return StrFormat("queued=%zu in_flight=%zu", s.queue_depth, in_flight_);
+    case Health::kDegraded:
+      return StrFormat("drops=%llu malformed=%llu",
+                       static_cast<unsigned long long>(s.DroppedTotal()),
+                       static_cast<unsigned long long>(s.malformed));
+    case Health::kReady:
+      break;
+  }
+  return "ok";
+}
+
 obs::Snapshot IngestService::SelfSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
+  const ServiceStats s = StatsLocked();
   obs::Snapshot snap;
   auto counter = [&](const char* name, std::uint64_t v) {
     obs::MetricValue m;
@@ -460,42 +403,38 @@ obs::Snapshot IngestService::SelfSnapshot() const {
     m.count = v;
     snap.metrics.push_back(std::move(m));
   };
-  counter("svc.offered", totals_.offered);
-  counter("svc.accepted", totals_.accepted);
-  counter("svc.offered_bytes", totals_.offered_bytes);
-  counter("svc.accepted_bytes", totals_.accepted_bytes);
-  counter("svc.dropped_bytes", totals_.dropped_bytes);
+  counter("svc.offered", s.offered);
+  counter("svc.accepted", s.accepted);
+  counter("svc.offered_bytes", s.offered_bytes);
+  counter("svc.accepted_bytes", s.accepted_bytes);
+  counter("svc.dropped_bytes", s.dropped_bytes);
   counter("svc.drop.empty",
-          totals_.dropped[static_cast<std::size_t>(DropReason::kEmpty)]);
+          s.dropped[static_cast<std::size_t>(DropReason::kEmpty)]);
   counter("svc.drop.oversize",
-          totals_.dropped[static_cast<std::size_t>(DropReason::kOversize)]);
+          s.dropped[static_cast<std::size_t>(DropReason::kOversize)]);
   counter("svc.drop.queue_full",
-          totals_.dropped[static_cast<std::size_t>(DropReason::kQueueFull)]);
+          s.dropped[static_cast<std::size_t>(DropReason::kQueueFull)]);
   counter("svc.drop.draining",
-          totals_.dropped[static_cast<std::size_t>(DropReason::kDraining)]);
-  counter("svc.summaries", totals_.summaries);
-  counter("svc.malformed", totals_.malformed);
-  counter("svc.cache_hits", totals_.cache_hits);
-  counter("svc.decoded_events", totals_.decoded_events);
-  counter("svc.anomalies", totals_.anomalies);
-  counter("svc.tenants", tenants_.size());
+          s.dropped[static_cast<std::size_t>(DropReason::kDraining)]);
+  counter("svc.summaries", s.summaries);
+  counter("svc.malformed", s.malformed);
+  counter("svc.cache_hits", s.cache_hits);
+  counter("svc.decoded_events", s.decoded_events);
+  counter("svc.anomalies", s.anomalies);
+  counter("svc.tenants", s.tenants.size());
 
   obs::MetricValue depth;
   depth.name = "svc.queue_depth";
   depth.kind = obs::MetricKind::kGauge;
-  std::size_t queued = 0;
-  for (const Shard& s : shards_) {
-    queued += s.queue.size();
-  }
-  depth.value = static_cast<std::int64_t>(queued);
+  depth.value = static_cast<std::int64_t>(s.queue_depth);
   depth.peak = static_cast<std::int64_t>(options_.queue_max_depth);
   snap.metrics.push_back(std::move(depth));
 
   obs::MetricValue qbytes;
   qbytes.name = "svc.queue_bytes";
   qbytes.kind = obs::MetricKind::kGauge;
-  qbytes.value = static_cast<std::int64_t>(queue_bytes_);
-  qbytes.peak = static_cast<std::int64_t>(peak_queue_bytes_);
+  qbytes.value = static_cast<std::int64_t>(s.queue_bytes);
+  qbytes.peak = static_cast<std::int64_t>(s.peak_queue_bytes);
   snap.metrics.push_back(std::move(qbytes));
 
   snap.metrics.push_back(upload_bytes_ladder_);

@@ -3,10 +3,12 @@
 //
 // Simulated machines upload whole capture payloads (either interchange —
 // the text upload format or the hwpb binary container, sniffed per upload).
-// Submit() is the service boundary: it assigns an ingest ID, enforces
-// admission control (size cap, per-shard queue depth, global queue bytes,
-// drain state) and either queues the payload on its tenant's shard or
-// rejects it with a *typed* drop reason. Nothing is ever dropped silently:
+// Submit() is the service boundary: it assigns an ingest ID, applies
+// admission control in a fixed order (drain state, empty payload, size cap,
+// per-shard queue depth and global queue bytes) and either queues the
+// payload on its tenant's shard or rejects it with a *typed* drop reason.
+// RejectOversize() (a declared size, no payload) takes the same path.
+// Nothing is ever dropped silently:
 //
 //     offered == accepted + sum(typed submit drops)          (uploads & bytes)
 //     accepted == summaries + malformed                      (after WaitIdle)
@@ -21,13 +23,17 @@
 // soak test's core assertion. Decoded summaries are cached by payload hash
 // (FNV-1a 64): a re-uploaded capture is served from cache without decoding.
 //
+// One ledger: each upload outcome is booked once, in its tenant's
+// TenantCounters row. Stats() totals are sums of those rows, and STATUS,
+// TENANTS, HEALTH and the svc.* self-snapshot are all derived from one
+// locked read of them; there is no second set of counters to reconcile.
+//
 // Observability plane:
-//   * obs counters/gauges under service.* (the SNMP profTelemetry subtree
-//     picks them up via RefreshTelemetryMib),
-//   * a deterministic self-snapshot (svc.* metrics built from the service's
-//     own counters, no wall-clock latencies) recorded into a TimeSeriesStore
-//     by Tick() — the METRICS ops command derives rates and ladder
-//     percentiles from it,
+//   * a deterministic self-snapshot (svc.* counters derived from the ledger
+//     plus two magnitude-ladder histograms, no wall-clock latencies)
+//     recorded into a TimeSeriesStore of kTimeseriesCapacity samples by
+//     Tick() — the METRICS ops command derives rates and ladder percentiles
+//     from it,
 //   * a structured EventLog: every upload logs capture -> decode -> summary
 //     stages under its ingest ID.
 //
@@ -93,18 +99,21 @@ struct ServiceOptions {
   // Figure-3 summary rows retained per upload (0 = all rows).
   std::size_t summary_rows = 0;
   // Observability plane sizing.
-  std::size_t timeseries_capacity = 120;
   std::size_t event_log_capacity = 1024;
   // Service clock in ns; defaults to obs::MonotonicNowNs. Tests freeze it.
   std::function<std::uint64_t()> clock;
 };
 
-// Per-tenant accounting, all monotone counters.
+// Self-snapshots the METRICS window can reach back over.
+inline constexpr std::size_t kTimeseriesCapacity = 120;
+
+// Per-tenant accounting, all monotone counters: the service's one ledger.
 struct TenantCounters {
   std::uint64_t offered = 0;
   std::uint64_t accepted = 0;
   std::uint64_t offered_bytes = 0;
   std::uint64_t accepted_bytes = 0;
+  std::uint64_t dropped_bytes = 0;
   std::uint64_t dropped[kDropReasonCount] = {};  // by submit DropReason
   std::uint64_t summaries = 0;
   std::uint64_t malformed = 0;
@@ -118,32 +127,19 @@ struct TenantCounters {
     for (const std::uint64_t d : dropped) n += d;
     return n;
   }
+
+  // Adds every counter of `other`; last_ingest_id takes the newer one.
+  TenantCounters& operator+=(const TenantCounters& other);
 };
 
-// A stable copy of the whole service's accounting.
-struct ServiceStats {
-  std::uint64_t offered = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t offered_bytes = 0;
-  std::uint64_t accepted_bytes = 0;
-  std::uint64_t dropped_bytes = 0;
-  std::uint64_t dropped[kDropReasonCount] = {};
-  std::uint64_t summaries = 0;
-  std::uint64_t malformed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t decoded_events = 0;
-  std::uint64_t anomalies = 0;
+// A stable copy of the whole service's accounting: the inherited counters
+// are the sum of the tenant rows, plus the queue and cache levels.
+struct ServiceStats : TenantCounters {
   std::size_t queue_depth = 0;
   std::size_t queue_bytes = 0;
   std::size_t peak_queue_bytes = 0;
   std::size_t cache_entries = 0;
   std::map<std::string, TenantCounters> tenants;  // name-sorted
-
-  std::uint64_t DroppedTotal() const {
-    std::uint64_t n = 0;
-    for (const std::uint64_t d : dropped) n += d;
-    return n;
-  }
 };
 
 // What a worker remembers about one decoded capture (also the cache value).
@@ -166,11 +162,12 @@ class IngestService {
   // or after the decode (workers == 0).
   SubmitResult Submit(const std::string& tenant, std::string payload);
 
-  // Records a typed kOversize drop for an upload whose *declared* size
-  // already exceeds max_upload_bytes, without ever buffering the payload.
-  // The socket layer calls this before reading the body, so a lying or huge
-  // UPLOAD header cannot drive an allocation; the drop still lands in the
-  // same offered/dropped counters and event log as a Submit()-time drop.
+  // Admits an upload by its *declared* size alone, which is always a typed
+  // drop: kOversize, or kDraining once drain has begun (the same checks, in
+  // the same order, as Submit). The socket layer calls this when a header
+  // declares more than max_upload_bytes, before reading the body, so a lying
+  // or huge UPLOAD header cannot drive an allocation; the drop lands in the
+  // same ledger and event log as a Submit()-time drop.
   SubmitResult RejectOversize(const std::string& tenant,
                               std::uint64_t declared_bytes);
 
@@ -223,6 +220,16 @@ class IngestService {
     std::deque<QueueItem> queue;
   };
 
+  // The one admission path behind Submit and RejectOversize: assigns the
+  // ingest ID, applies the admission checks in order, books the outcome in
+  // the tenant's ledger row and logs it. A null `payload` is a declared size
+  // with no body, which the size check always refuses. An accepted payload
+  // is moved onto its shard's queue when workers > 0.
+  SubmitResult Admit(const std::string& tenant, std::uint64_t bytes,
+                     std::string* payload);
+  // The totals, levels and tenant rows; caller holds mu_.
+  ServiceStats StatsLocked() const;
+  Health HealthLocked(const ServiceStats& stats) const;
   void WorkerLoop(std::size_t shard_index);
   void Process(const QueueItem& item);
   UploadOutcome DecodePayload(const std::string& payload, bool* malformed) const;
@@ -246,8 +253,7 @@ class IngestService {
   std::vector<Shard> shards_;
   std::vector<std::thread> threads_;
 
-  // Accounting (guarded by mu_).
-  ServiceStats totals_;
+  // The ledger (guarded by mu_).
   std::map<std::string, TenantCounters> tenants_;
   // Magnitude-ladder samples for the deterministic self-snapshot.
   obs::MetricValue upload_bytes_ladder_;

@@ -197,6 +197,7 @@ TEST(ServiceIngest, TypedDropAccountingBalancesExactly) {
     offered += tc.offered;
     accepted += tc.accepted;
     EXPECT_EQ(tc.offered, tc.accepted + tc.DroppedTotal()) << name;
+    EXPECT_EQ(tc.offered_bytes, tc.accepted_bytes + tc.dropped_bytes) << name;
   }
   EXPECT_EQ(offered, s.offered);
   EXPECT_EQ(accepted, s.accepted);
@@ -279,6 +280,20 @@ TEST(ServiceIngest, RejectOversizeAccountsWithoutPayload) {
       service.event_log().ForIngest(r.ingest_id);
   ASSERT_EQ(trail.size(), 1u);
   EXPECT_NE(trail[0].detail.find("reason=oversize"), std::string::npos);
+
+  // Admission checks drain before size, so a declared-oversize upload that
+  // arrives during drain is a draining drop like any other upload.
+  service.BeginDrain();
+  const SubmitResult late = service.RejectOversize("liar", 200'000);
+  EXPECT_FALSE(late.accepted);
+  EXPECT_EQ(late.reason, DropReason::kDraining);
+  const ServiceStats drained = service.Stats();
+  EXPECT_EQ(drained.dropped[static_cast<std::size_t>(DropReason::kOversize)],
+            1u);
+  EXPECT_EQ(drained.dropped[static_cast<std::size_t>(DropReason::kDraining)],
+            1u);
+  EXPECT_EQ(drained.offered_bytes,
+            drained.accepted_bytes + drained.dropped_bytes);
 }
 
 TEST(ServiceIngest, BackpressureIsATypedQueueFullDrop) {
@@ -297,6 +312,9 @@ TEST(ServiceIngest, BackpressureIsATypedQueueFullDrop) {
   EXPECT_EQ(s.dropped[static_cast<std::size_t>(DropReason::kQueueFull)], 1u);
   EXPECT_EQ(s.offered, s.accepted + s.DroppedTotal());
   EXPECT_EQ(s.offered_bytes, s.accepted_bytes + s.dropped_bytes);
+  for (const auto& [name, tc] : s.tenants) {
+    EXPECT_EQ(tc.offered_bytes, tc.accepted_bytes + tc.dropped_bytes) << name;
+  }
 }
 
 TEST(ServiceIngest, HealthTransitionsReadyDegradedDraining) {

@@ -12,8 +12,6 @@
 #include "src/service/ingest.h"
 #include "src/service/ops_socket.h"
 #include "src/service/soak.h"
-#include "src/snmp/mib.h"
-#include "src/snmp/telemetry_mib.h"
 #include "tools/tool_common.h"
 
 namespace hwprof {
@@ -118,16 +116,11 @@ int ServeMode(int argc, const char* const* argv, std::string* error) {
                socket_path.c_str(), service.workers(),
                static_cast<unsigned long long>(tick_ms));
 
-  // Live SNMP view: each tick re-publishes the telemetry registry (which
-  // carries the service.* counters and gauges) into the profTelemetry
-  // subtree, so an agent serving this MIB always answers with daemon state.
-  BTreeMib mib;
   const std::uint64_t deadline_ns =
       duration_s == 0 ? 0 : service.NowNs() + duration_s * 1'000'000'000ull;
   while (g_stop_requested == 0 &&
          (deadline_ns == 0 || service.NowNs() < deadline_ns)) {
     service.Tick();
-    RefreshTelemetryMib(&mib);
     std::this_thread::sleep_for(std::chrono::milliseconds(tick_ms));
   }
 
