@@ -26,6 +26,9 @@ std::string_view StripWhitespace(std::string_view s);
 // True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+// True if `s` ends with `suffix`.
+bool EndsWith(std::string_view s, std::string_view suffix);
+
 // Parses a non-negative decimal integer; returns false on any malformed input
 // (empty, non-digits, overflow past 2^63).
 bool ParseUint(std::string_view s, std::uint64_t* out);

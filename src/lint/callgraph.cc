@@ -5,60 +5,15 @@
 #include <utility>
 
 #include "src/base/strings.h"
+#include "src/lint/path_walk.h"
 
 namespace hwprof::lint {
 
 namespace {
 
-// Effects clamp to [-8, 8]: deep enough for any real nesting, and the clamp
-// bounds the solver — widening cannot run forever.
-constexpr int kClamp = 8;
-constexpr std::size_t kMaxWalkStates = 64;
+constexpr int kClamp = 8;  // Interval ends stay in [-kClamp, kClamp]
 constexpr std::size_t kMaxSleepHops = 8;
 constexpr int kMaxRounds = 32;
-
-int Clamp(int v) { return std::max(-kClamp, std::min(kClamp, v)); }
-
-bool EndsWith(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::pair<std::string, std::string> SplitLast(const std::string& name) {
-  const std::size_t pos = name.rfind("::");
-  if (pos == std::string::npos) {
-    return {"", name};
-  }
-  return {name.substr(0, pos), name.substr(pos + 2)};
-}
-
-// The per-path effect counters of the summary walk. A path's counters are
-// intervals because callee effects are intervals.
-struct WalkState {
-  int spl_lo = 0, spl_hi = 0;
-  int raw_lo = 0, raw_hi = 0;
-  int emit_lo = 0, emit_hi = 0;
-  int span_lo = 0, span_hi = 0;
-};
-
-std::string WalkKey(const WalkState& s) {
-  return StrFormat("%d,%d,%d,%d,%d,%d,%d,%d", s.spl_lo, s.spl_hi, s.raw_lo,
-                   s.raw_hi, s.emit_lo, s.emit_hi, s.span_lo, s.span_hi);
-}
-
-std::vector<WalkState> DedupAndCap(std::vector<WalkState> states) {
-  std::vector<WalkState> out;
-  std::set<std::string> seen;
-  for (WalkState& st : states) {
-    if (out.size() >= kMaxWalkStates) {
-      break;
-    }
-    if (seen.insert(WalkKey(st)).second) {
-      out.push_back(st);
-    }
-  }
-  return out;
-}
 
 // Resolves a call spelling against the node set. See callgraph.h for the
 // resolution order; returns node names, empty when external.
@@ -74,7 +29,7 @@ std::vector<std::string> ResolveSpelling(
     // their trailing components (one may carry extra qualification the other
     // lacks, e.g. a namespace the model does not record).
     std::vector<std::string> out;
-    const auto it = by_last.find(SplitLast(spelling).second);
+    const auto it = by_last.find(SplitLastComponent(spelling).second);
     if (it != by_last.end()) {
       for (const std::string& name : it->second) {
         if (EndsWith(name, "::" + spelling) || EndsWith(spelling, "::" + name)) {
@@ -84,7 +39,7 @@ std::vector<std::string> ResolveSpelling(
     }
     return out;
   }
-  const std::string caller_qual = SplitLast(caller).first;
+  const std::string caller_qual = SplitLastComponent(caller).first;
   if (!caller_qual.empty()) {
     const std::string method = caller_qual + "::" + spelling;
     if (nodes.count(method) != 0) {
@@ -98,202 +53,126 @@ std::vector<std::string> ResolveSpelling(
   return {};
 }
 
-// The interval a call site charges the caller with: the callee's declared
-// spl-effect when annotated (the contract callers code against), otherwise
-// the widened computed interval over every resolution candidate.
-struct CalleeEffect {
-  WalkState eff;
-  bool may_sleep = false;
-};
-
-CalleeEffect EffectOfTargets(const std::vector<std::string>& targets,
-                             const std::map<std::string, FuncNode>& nodes,
-                             const std::map<std::string, FuncSummary>& prev) {
-  CalleeEffect out;
+// The one call-site rule (see CallEffect), against `summaries`: the rule
+// checker passes the final summaries, the solver its previous round's.
+std::optional<CallEffect> EffectOfCall(
+    const std::string& spelling, const std::string& caller,
+    const std::map<std::string, FuncNode>& nodes,
+    const std::map<std::string, std::vector<std::string>>& by_last,
+    const std::map<std::string, FuncSummary>& summaries) {
+  const std::vector<std::string> targets =
+      ResolveSpelling(spelling, caller, nodes, by_last);
+  if (targets.empty()) {
+    return std::nullopt;  // external: neutral by policy
+  }
+  CallEffect out;
   bool first = true;
   for (const std::string& t : targets) {
-    const auto sit = prev.find(t);
-    if (sit == prev.end()) {
+    const auto sit = summaries.find(t);
+    if (sit == summaries.end()) {
       continue;
     }
-    FuncSummary s = sit->second;
-    const auto nit = nodes.find(t);
-    if (targets.size() == 1 && nit != nodes.end() && nit->second.has_annotation) {
-      s.spl_lo = nit->second.annotation;
-      s.spl_hi = nit->second.annotation;
+    const FuncSummary& s = sit->second;
+    Effects eff = s;
+    const FuncNode& node = nodes.at(t);
+    if (targets.size() == 1 && node.has_annotation) {
+      eff.spl = Interval{node.annotation, node.annotation};
+      out.has_annotation = true;
+      out.annotation = node.annotation;
     }
-    out.may_sleep = out.may_sleep || s.may_sleep;
     if (first) {
-      out.eff = WalkState{s.spl_lo, s.spl_hi, s.raw_lo, s.raw_hi,
-                          s.emit_lo, s.emit_hi, s.span_lo, s.span_hi};
+      out.eff = eff;
       first = false;
     } else {
-      out.eff.spl_lo = std::min(out.eff.spl_lo, s.spl_lo);
-      out.eff.spl_hi = std::max(out.eff.spl_hi, s.spl_hi);
-      out.eff.raw_lo = std::min(out.eff.raw_lo, s.raw_lo);
-      out.eff.raw_hi = std::max(out.eff.raw_hi, s.raw_hi);
-      out.eff.emit_lo = std::min(out.eff.emit_lo, s.emit_lo);
-      out.eff.emit_hi = std::max(out.eff.emit_hi, s.emit_hi);
-      out.eff.span_lo = std::min(out.eff.span_lo, s.span_lo);
-      out.eff.span_hi = std::max(out.eff.span_hi, s.span_hi);
+      out.eff.Widen(eff);
+    }
+    if (s.may_sleep && !out.may_sleep) {
+      out.may_sleep = true;
+      out.sleep_target = &sit->first;
+      out.sleep_path = &s.sleep_path;
     }
   }
   return out;
 }
 
-// One pass over one function definition with the previous round's summaries:
-// net-effect intervals over all return paths, mirroring the path policy of
-// the rule engine (if forks, loops zero-or-one, switches linear).
+// The solver's path walker over one function definition with the previous
+// round's summaries: each path carries its running net effect, and the
+// function's effect is the widening over every return path.
 class EffectWalker {
  public:
+  using State = Effects;
+
   EffectWalker(const std::string& caller,
                const std::map<std::string, FuncNode>& nodes,
                const std::map<std::string, std::vector<std::string>>& by_last,
                const std::map<std::string, FuncSummary>& prev)
       : caller_(caller), nodes_(nodes), by_last_(by_last), prev_(prev) {}
 
-  // Returns the aggregated interval state over every return path.
-  WalkState Run(const Stmt& body) {
-    std::vector<WalkState> states = Eval(body, {WalkState{}});
-    for (const WalkState& st : states) {
-      EndOfPath(st);
-    }
-    return any_path_ ? agg_ : WalkState{};
+  Effects Run(const Stmt& body) {
+    WalkPaths(body, *this);
+    return agg_;
   }
 
- private:
-  void EndOfPath(const WalkState& st) {
-    if (!any_path_) {
+  const Effects& Key(const Effects& s) const { return s; }
+
+  void EndOfPath(const Effects& st, int /*line*/) {
+    if (any_path_) {
+      agg_.Widen(st);
+    } else {
       agg_ = st;
       any_path_ = true;
-      return;
     }
-    agg_.spl_lo = std::min(agg_.spl_lo, st.spl_lo);
-    agg_.spl_hi = std::max(agg_.spl_hi, st.spl_hi);
-    agg_.raw_lo = std::min(agg_.raw_lo, st.raw_lo);
-    agg_.raw_hi = std::max(agg_.raw_hi, st.raw_hi);
-    agg_.emit_lo = std::min(agg_.emit_lo, st.emit_lo);
-    agg_.emit_hi = std::max(agg_.emit_hi, st.emit_hi);
-    agg_.span_lo = std::min(agg_.span_lo, st.span_lo);
-    agg_.span_hi = std::max(agg_.span_hi, st.span_hi);
   }
 
-  void ApplyEvent(const Stmt& s, WalkState* st) {
-    auto bump = [](int* lo, int* hi, int d) {
-      *lo = Clamp(*lo + d);
-      *hi = Clamp(*hi + d);
-    };
+  void Apply(const Stmt& s, Effects* st) {
     switch (s.event) {
       case EventKind::kSplRaise:
-        bump(&st->spl_lo, &st->spl_hi, 1);
+        st->spl.Add({1, 1});
         break;
       case EventKind::kSplRestore:
-        bump(&st->spl_lo, &st->spl_hi, -1);
+        st->spl.Add({-1, -1});
         break;
       case EventKind::kSpl0:
         // Drops to the base level: the net effect can no longer be positive.
         // (Levels the *caller* raised are also dropped; that is the same
         // documented leniency spl0 gets in the intra-procedural rules.)
-        st->spl_lo = std::min(st->spl_lo, 0);
-        st->spl_hi = std::min(st->spl_hi, 0);
+        st->spl = Interval{std::min(st->spl.lo, 0), std::min(st->spl.hi, 0)};
         break;
       case EventKind::kRawRaise:
-        bump(&st->raw_lo, &st->raw_hi, 1);
+        st->raw.Add({1, 1});
         break;
       case EventKind::kRawRestore:
-        bump(&st->raw_lo, &st->raw_hi, -1);
+        st->raw.Add({-1, -1});
         break;
       case EventKind::kEntryEmit:
-        bump(&st->emit_lo, &st->emit_hi, 1);
+        st->emit.Add({1, 1});
         break;
       case EventKind::kExitEmit:
-        bump(&st->emit_lo, &st->emit_hi, -1);
+        st->emit.Add({-1, -1});
         break;
       case EventKind::kObsSpanBegin:
-        bump(&st->span_lo, &st->span_hi, 1);
+        st->span.Add({1, 1});
         break;
       case EventKind::kObsSpanEnd:
-        bump(&st->span_lo, &st->span_hi, -1);
+        st->span.Add({-1, -1});
         break;
-      case EventKind::kCall: {
-        const std::vector<std::string> targets =
-            ResolveSpelling(s.what, caller_, nodes_, by_last_);
-        if (targets.empty()) {
-          break;  // external: neutral by policy
+      case EventKind::kCall:
+        if (const auto c = EffectOfCall(s.what, caller_, nodes_, by_last_, prev_)) {
+          st->Add(c->eff);
         }
-        const CalleeEffect c = EffectOfTargets(targets, nodes_, prev_);
-        st->spl_lo = Clamp(st->spl_lo + c.eff.spl_lo);
-        st->spl_hi = Clamp(st->spl_hi + c.eff.spl_hi);
-        st->raw_lo = Clamp(st->raw_lo + c.eff.raw_lo);
-        st->raw_hi = Clamp(st->raw_hi + c.eff.raw_hi);
-        st->emit_lo = Clamp(st->emit_lo + c.eff.emit_lo);
-        st->emit_hi = Clamp(st->emit_hi + c.eff.emit_hi);
-        st->span_lo = Clamp(st->span_lo + c.eff.span_lo);
-        st->span_hi = Clamp(st->span_hi + c.eff.span_hi);
         break;
-      }
       case EventKind::kSleep:
       case EventKind::kUnknownEmit:
         break;
     }
   }
 
-  std::vector<WalkState> Eval(const Stmt& s, std::vector<WalkState> states) {
-    if (states.empty()) {
-      return states;
-    }
-    switch (s.kind) {
-      case Stmt::Kind::kBlock: {
-        for (const auto& child : s.children) {
-          states = Eval(*child, std::move(states));
-        }
-        return states;
-      }
-      case Stmt::Kind::kIf: {
-        std::vector<WalkState> taken = Eval(*s.children[0], states);
-        std::vector<WalkState> other =
-            s.children.size() > 1 ? Eval(*s.children[1], states) : states;
-        taken.insert(taken.end(), other.begin(), other.end());
-        return DedupAndCap(std::move(taken));
-      }
-      case Stmt::Kind::kLoop: {
-        std::vector<WalkState> once = Eval(*s.children[0], states);
-        once.insert(once.end(), states.begin(), states.end());
-        return DedupAndCap(std::move(once));
-      }
-      case Stmt::Kind::kSwitch: {
-        const std::vector<WalkState> entry = states;
-        std::vector<WalkState> cur = states;
-        for (const auto& child : s.children[0]->children) {
-          cur = Eval(*child, std::move(cur));
-          if (cur.empty()) {
-            cur = entry;
-          }
-        }
-        cur.insert(cur.end(), entry.begin(), entry.end());
-        return DedupAndCap(std::move(cur));
-      }
-      case Stmt::Kind::kEvent: {
-        for (WalkState& st : states) {
-          ApplyEvent(s, &st);
-        }
-        return DedupAndCap(std::move(states));
-      }
-      case Stmt::Kind::kReturn: {
-        for (const WalkState& st : states) {
-          EndOfPath(st);
-        }
-        return {};
-      }
-    }
-    return states;
-  }
-
+ private:
   const std::string& caller_;
   const std::map<std::string, FuncNode>& nodes_;
   const std::map<std::string, std::vector<std::string>>& by_last_;
   const std::map<std::string, FuncSummary>& prev_;
-  WalkState agg_;
+  Effects agg_;
   bool any_path_ = false;
 };
 
@@ -314,21 +193,19 @@ bool FindSleepPath(const Stmt& s, const std::string& caller,
       return true;
     }
     if (s.event == EventKind::kCall) {
-      for (const std::string& t : ResolveSpelling(s.what, caller, nodes, by_last)) {
-        const auto it = prev.find(t);
-        if (it == prev.end() || !it->second.may_sleep) {
-          continue;
-        }
-        hops->clear();
-        hops->push_back(SleepHop{t, file, s.line});
-        for (const SleepHop& h : it->second.sleep_path) {
-          if (hops->size() >= kMaxSleepHops) {
-            break;
-          }
-          hops->push_back(h);
-        }
-        return true;
+      const auto c = EffectOfCall(s.what, caller, nodes, by_last, prev);
+      if (!c || !c->may_sleep) {
+        return false;
       }
+      hops->clear();
+      hops->push_back(SleepHop{*c->sleep_target, file, s.line});
+      for (const SleepHop& h : *c->sleep_path) {
+        if (hops->size() >= kMaxSleepHops) {
+          break;
+        }
+        hops->push_back(h);
+      }
+      return true;
     }
     return false;
   }
@@ -342,21 +219,36 @@ bool FindSleepPath(const Stmt& s, const std::string& caller,
 
 }  // namespace
 
-bool FuncSummary::SameAs(const FuncSummary& o) const {
-  if (spl_lo != o.spl_lo || spl_hi != o.spl_hi || raw_lo != o.raw_lo ||
-      raw_hi != o.raw_hi || emit_lo != o.emit_lo || emit_hi != o.emit_hi ||
-      span_lo != o.span_lo || span_hi != o.span_hi ||
-      may_sleep != o.may_sleep || sleep_path.size() != o.sleep_path.size()) {
-    return false;
+void Interval::Add(Interval d) {
+  lo = std::clamp(lo + d.lo, -kClamp, kClamp);
+  hi = std::clamp(hi + d.hi, -kClamp, kClamp);
+}
+
+void Interval::Widen(Interval o) {
+  lo = std::min(lo, o.lo);
+  hi = std::max(hi, o.hi);
+}
+
+void Effects::Add(const Effects& d) {
+  spl.Add(d.spl);
+  raw.Add(d.raw);
+  emit.Add(d.emit);
+  span.Add(d.span);
+}
+
+void Effects::Widen(const Effects& o) {
+  spl.Widen(o.spl);
+  raw.Widen(o.raw);
+  emit.Widen(o.emit);
+  span.Widen(o.span);
+}
+
+std::pair<std::string, std::string> SplitLastComponent(const std::string& name) {
+  const std::size_t pos = name.rfind("::");
+  if (pos == std::string::npos) {
+    return {"", name};
   }
-  for (std::size_t k = 0; k < sleep_path.size(); ++k) {
-    const SleepHop& a = sleep_path[k];
-    const SleepHop& b = o.sleep_path[k];
-    if (a.what != b.what || a.file != b.file || a.line != b.line) {
-      return false;
-    }
-  }
-  return true;
+  return {name.substr(0, pos), name.substr(pos + 2)};
 }
 
 CallGraph CallGraph::Build(const std::vector<SourceFile>& files) {
@@ -404,7 +296,7 @@ CallGraph CallGraph::Build(const std::vector<SourceFile>& files) {
     }
     node.defs = std::move(defs);
     node.def_files = std::move(def_files);
-    g.by_last_[SplitLast(name).second].push_back(name);
+    g.by_last_[SplitLastComponent(name).second].push_back(name);
   }
 
   // Call-site edges, resolved once (resolution depends only on the node
@@ -441,38 +333,6 @@ CallGraph CallGraph::Build(const std::vector<SourceFile>& files) {
   g.ComputeSummaries();
   g.FindCycles();
 
-  // Merged summaries for ambiguous last components, from the final map.
-  for (const auto& [last, names] : g.by_last_) {
-    if (names.size() < 2) {
-      continue;
-    }
-    FuncSummary merged;
-    bool first = true;
-    for (const std::string& name : names) {
-      const FuncSummary& s = g.summaries_.at(name);
-      if (first) {
-        merged = s;
-        merged.has_annotation = false;
-        merged.annotation = 0;
-        first = false;
-        continue;
-      }
-      merged.spl_lo = std::min(merged.spl_lo, s.spl_lo);
-      merged.spl_hi = std::max(merged.spl_hi, s.spl_hi);
-      merged.raw_lo = std::min(merged.raw_lo, s.raw_lo);
-      merged.raw_hi = std::max(merged.raw_hi, s.raw_hi);
-      merged.emit_lo = std::min(merged.emit_lo, s.emit_lo);
-      merged.emit_hi = std::max(merged.emit_hi, s.emit_hi);
-      merged.span_lo = std::min(merged.span_lo, s.span_lo);
-      merged.span_hi = std::max(merged.span_hi, s.span_hi);
-      merged.in_cycle = merged.in_cycle || s.in_cycle;
-      if (!merged.may_sleep && s.may_sleep) {
-        merged.may_sleep = true;
-        merged.sleep_path = s.sleep_path;
-      }
-    }
-    g.merged_.emplace(last, std::move(merged));
-  }
   return g;
 }
 
@@ -501,27 +361,12 @@ void CallGraph::ComputeSummaries() {
         if (fn->body == nullptr) {
           continue;
         }
-        EffectWalker walker(name, nodes_, by_last_, cur);
-        const WalkState eff = walker.Run(*fn->body);
+        const Effects eff = EffectWalker(name, nodes_, by_last_, cur).Run(*fn->body);
         if (first) {
-          s.spl_lo = eff.spl_lo;
-          s.spl_hi = eff.spl_hi;
-          s.raw_lo = eff.raw_lo;
-          s.raw_hi = eff.raw_hi;
-          s.emit_lo = eff.emit_lo;
-          s.emit_hi = eff.emit_hi;
-          s.span_lo = eff.span_lo;
-          s.span_hi = eff.span_hi;
+          static_cast<Effects&>(s) = eff;
           first = false;
         } else {
-          s.spl_lo = std::min(s.spl_lo, eff.spl_lo);
-          s.spl_hi = std::max(s.spl_hi, eff.spl_hi);
-          s.raw_lo = std::min(s.raw_lo, eff.raw_lo);
-          s.raw_hi = std::max(s.raw_hi, eff.raw_hi);
-          s.emit_lo = std::min(s.emit_lo, eff.emit_lo);
-          s.emit_hi = std::max(s.emit_hi, eff.emit_hi);
-          s.span_lo = std::min(s.span_lo, eff.span_lo);
-          s.span_hi = std::max(s.span_hi, eff.span_hi);
+          s.Widen(eff);
         }
         if (!s.may_sleep) {
           std::vector<SleepHop> hops;
@@ -532,7 +377,7 @@ void CallGraph::ComputeSummaries() {
           }
         }
       }
-      if (!s.SameAs(cur.at(name))) {
+      if (s != cur.at(name)) {
         changed = true;
       }
       next.emplace(name, std::move(s));
@@ -651,23 +496,15 @@ std::vector<std::string> CallGraph::Resolve(const std::string& spelling,
   return ResolveSpelling(spelling, caller, nodes_, by_last_);
 }
 
-const FuncSummary* CallGraph::EffectiveSummary(const std::string& spelling,
-                                               const std::string& caller) const {
-  const std::vector<std::string> targets = Resolve(spelling, caller);
-  if (targets.empty()) {
-    return nullptr;
-  }
-  if (targets.size() == 1) {
-    const auto it = summaries_.find(targets[0]);
-    return it == summaries_.end() ? nullptr : &it->second;
-  }
-  const auto it = merged_.find(SplitLast(spelling).second);
-  return it == merged_.end() ? nullptr : &it->second;
+std::optional<CallEffect> CallGraph::EffectOfCall(const std::string& spelling,
+                                                  const std::string& caller) const {
+  return lint::EffectOfCall(spelling, caller, nodes_, by_last_, summaries_);
 }
 
-std::string FormatSleepChain(const std::string& callee, const FuncSummary& summary) {
+std::string FormatSleepChain(const std::string& callee,
+                             const std::vector<SleepHop>& sleep_path) {
   std::string out = callee;
-  for (const SleepHop& h : summary.sleep_path) {
+  for (const SleepHop& h : sleep_path) {
     out += StrFormat(" -> %s (%s:%d)", h.what.c_str(), h.file.c_str(), h.line);
   }
   return out;
@@ -695,7 +532,7 @@ void CheckCallGraph(const CallGraph& graph, std::vector<Finding>* findings) {
 
     if (node.has_annotation) {
       // The declared contract must match the computed effect exactly.
-      if (s.spl_lo != node.annotation || s.spl_hi != node.annotation) {
+      if (s.spl != Interval{node.annotation, node.annotation}) {
         Finding f;
         f.rule = "spl-imbalance-transitive";
         f.file = node.file;
@@ -703,10 +540,10 @@ void CheckCallGraph(const CallGraph& graph, std::vector<Finding>* findings) {
         f.message = StrFormat(
             "'%s' declares spl-effect(%+d) but its computed net spl effect "
             "is [%d, %d]",
-            name.c_str(), node.annotation, s.spl_lo, s.spl_hi);
+            name.c_str(), node.annotation, s.spl.lo, s.spl.hi);
         findings->push_back(std::move(f));
       }
-    } else if (s.spl_hi < 0) {
+    } else if (s.spl.hi < 0) {
       // Every return path lowers a level the caller raised: a restoring
       // helper that must declare its contract.
       Finding f;
@@ -716,12 +553,12 @@ void CheckCallGraph(const CallGraph& graph, std::vector<Finding>* findings) {
       f.message = StrFormat(
           "'%s' restores the caller's interrupt level (net spl effect "
           "[%d, %d]) without declaring '// hwprof-lint: spl-effect(%+d)'",
-          name.c_str(), s.spl_lo, s.spl_hi, s.spl_hi);
+          name.c_str(), s.spl.lo, s.spl.hi, s.spl.hi);
       findings->push_back(std::move(f));
     }
 
     // Interrupt-service roots must never reach a blocking call.
-    const std::string last = SplitLast(name).second;
+    const std::string last = SplitLastComponent(name).second;
     const bool intr_root = EndsWith(last, "Intr") || last == "ServiceIrq" ||
                            last == "ServiceHardIrqs" || last == "ServiceSoft";
     if (intr_root && s.may_sleep) {
@@ -733,7 +570,7 @@ void CheckCallGraph(const CallGraph& graph, std::vector<Finding>* findings) {
           "interrupt-context function '%s' can reach a blocking call",
           name.c_str());
       f.note = StrFormat("call chain: %s",
-                         FormatSleepChain(name, s).c_str());
+                         FormatSleepChain(name, s.sleep_path).c_str());
       findings->push_back(std::move(f));
     }
   }
@@ -745,8 +582,7 @@ void CheckCallGraph(const CallGraph& graph, std::vector<Finding>* findings) {
     bool effectful = false;
     for (const std::string& name : cycle) {
       const FuncSummary& s = graph.summaries().at(name);
-      if (s.spl_lo != 0 || s.spl_hi != 0 || s.raw_lo != 0 || s.raw_hi != 0 ||
-          s.has_annotation) {
+      if (s.spl != Interval{} || s.raw != Interval{} || s.has_annotation) {
         effectful = true;
         break;
       }
@@ -790,15 +626,15 @@ std::string CallGraphToJson(const CallGraph& graph) {
     out += StrFormat(
         ", \"summary\": {\"spl\": [%d, %d], \"raw\": [%d, %d], \"emit\": "
         "[%d, %d], \"span\": [%d, %d], \"may_sleep\": %s, \"in_cycle\": %s",
-        s.spl_lo, s.spl_hi, s.raw_lo, s.raw_hi, s.emit_lo, s.emit_hi,
-        s.span_lo, s.span_hi, s.may_sleep ? "true" : "false",
+        s.spl.lo, s.spl.hi, s.raw.lo, s.raw.hi, s.emit.lo, s.emit.hi,
+        s.span.lo, s.span.hi, s.may_sleep ? "true" : "false",
         s.in_cycle ? "true" : "false");
     if (node.has_annotation) {
       out += StrFormat(", \"annotation\": %d", node.annotation);
     }
     if (s.may_sleep) {
       out += ", \"sleep_chain\": ";
-      AppendJsonString(FormatSleepChain(name, s), &out);
+      AppendJsonString(FormatSleepChain(name, s.sleep_path), &out);
     }
     out += "}";
     out += ", \"calls\": [";

@@ -11,10 +11,13 @@
 //   1. a qualified spelling must match a node exactly (or be a suffix-
 //      compatible match on the last components),
 //   2. an unqualified spelling first tries the caller's own class,
-//   3. then a unique last-component match anywhere in the program,
-//   4. several candidates widen into one merged summary (union of effects),
+//   3. then a last-component match anywhere in the program,
+//   4. several candidates widen over exactly the resolved targets (union of
+//      effects; the call may sleep if any target may),
 //   5. no candidate at all — an external or library callee — yields a
 //      neutral summary: unresolved calls cost recall, never false positives.
+// The rule checker and the solver charge a call site through the same
+// CallEffect, so the two passes cannot disagree on what a call costs.
 //
 // The solver iterates over function names in sorted order and recomputes all
 // summaries from the previous round's map, so the result is independent of
@@ -23,8 +26,11 @@
 #ifndef HWPROF_SRC_LINT_CALLGRAPH_H_
 #define HWPROF_SRC_LINT_CALLGRAPH_H_
 
+#include <compare>
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/lint/diagnostics.h"
@@ -39,22 +45,57 @@ struct SleepHop {
   std::string what;  // callee name, or the sleep primitive for the last hop
   std::string file;
   int line = 0;
+
+  bool operator==(const SleepHop&) const = default;
 };
 
-// Effects are intervals clamped to [-8, 8]: the minimum and maximum net
-// change over all return paths. A balanced function is [0, 0] everywhere.
-struct FuncSummary {
-  int spl_lo = 0, spl_hi = 0;    // splnet()-family depth delta
-  int raw_lo = 0, raw_hi = 0;    // RawRaise depth delta
-  int emit_lo = 0, emit_hi = 0;  // raw entry-trigger emits left open
-  int span_lo = 0, span_hi = 0;  // OBS_SPAN obligations left open
+// A net-effect interval: the minimum and maximum change over all return
+// paths, clamped to [-8, 8] — deep enough for any real nesting, and the clamp
+// bounds the solver: widening cannot run forever.
+struct Interval {
+  int lo = 0;
+  int hi = 0;
+
+  void Add(Interval d);    // clamped sum, per end
+  void Widen(Interval o);  // the smallest interval covering both
+  auto operator<=>(const Interval&) const = default;
+};
+
+// The effects a call can have on the caller's abstract machine. A balanced
+// function is [0, 0] everywhere.
+struct Effects {
+  Interval spl;   // splnet()-family depth delta
+  Interval raw;   // RawRaise depth delta
+  Interval emit;  // raw entry-trigger emits left open
+  Interval span;  // OBS_SPAN obligations left open
+
+  void Add(const Effects& d);
+  void Widen(const Effects& o);
+  auto operator<=>(const Effects&) const = default;
+};
+
+struct FuncSummary : Effects {
   bool may_sleep = false;
   std::vector<SleepHop> sleep_path;  // empty unless may_sleep
   bool in_cycle = false;             // member of a recursion cycle
   bool has_annotation = false;       // declared via hwprof-lint: spl-effect(n)
   int annotation = 0;
 
-  bool SameAs(const FuncSummary& o) const;
+  bool operator==(const FuncSummary&) const = default;
+};
+
+// What one call site charges its caller, from its resolved targets: the
+// declared spl-effect when there is a single annotated target (the contract
+// callers code against), otherwise the computed intervals widened over every
+// target. The call may sleep if any target may; the chain comes from the
+// first sleeping target in resolution order.
+struct CallEffect {
+  Effects eff;
+  bool has_annotation = false;  // single annotated target
+  int annotation = 0;
+  bool may_sleep = false;
+  const std::string* sleep_target = nullptr;          // when may_sleep
+  const std::vector<SleepHop>* sleep_path = nullptr;  // its chain
 };
 
 // One call site inside a function body, with its resolved targets (node
@@ -86,11 +127,10 @@ class CallGraph {
   // Builds nodes and edges and runs the summary solver to fixed point.
   static CallGraph Build(const std::vector<SourceFile>& files);
 
-  // The summary a call with this spelling (from this caller) should be
-  // charged with: a single node's summary, a merged summary when the
-  // spelling is ambiguous, or nullptr when the callee is external.
-  const FuncSummary* EffectiveSummary(const std::string& spelling,
-                                      const std::string& caller) const;
+  // The effect a call with this spelling (from this caller) charges, over
+  // the final summaries; nullopt when the callee is external.
+  std::optional<CallEffect> EffectOfCall(const std::string& spelling,
+                                         const std::string& caller) const;
 
   // The resolved target set for a spelling (empty = external).
   std::vector<std::string> Resolve(const std::string& spelling,
@@ -110,8 +150,6 @@ class CallGraph {
   std::map<std::string, FuncSummary> summaries_;
   // last name component -> node names carrying it (sorted by map order)
   std::map<std::string, std::vector<std::string>> by_last_;
-  // merged summaries for ambiguous last components (size > 1 groups)
-  std::map<std::string, FuncSummary> merged_;
   std::vector<std::vector<std::string>> cycles_;
   int rounds_ = 0;
 };
@@ -126,7 +164,11 @@ class CallGraph {
 void CheckCallGraph(const CallGraph& graph, std::vector<Finding>* findings);
 
 // "A -> B (file:line) -> Tsleep (file:line)" for diagnostics.
-std::string FormatSleepChain(const std::string& callee, const FuncSummary& summary);
+std::string FormatSleepChain(const std::string& callee,
+                             const std::vector<SleepHop>& sleep_path);
+
+// Splits "A::B::C" into {"A::B", "C"}; qualifier empty for unqualified names.
+std::pair<std::string, std::string> SplitLastComponent(const std::string& name);
 
 // {"nodes": [...], "cycles": [...]} — appended to --model-out output.
 std::string CallGraphToJson(const CallGraph& graph);

@@ -58,13 +58,9 @@ struct Finding {
   std::string suppress_reason;
 };
 
-// All rule identifiers the analyzer can emit (suppress() arguments are
-// validated against this list).
-const std::vector<std::string>& KnownRules();
+// True for every rule identifier the analyzer can emit (suppress()
+// arguments are validated against the catalog the SARIF output lists).
 bool IsKnownRule(std::string_view rule);
-
-// One-line description of a rule (used by the SARIF rules catalog).
-std::string_view RuleDescription(std::string_view rule);
 
 // "file:line: [rule] message (note)" — the human-readable form.
 std::string FormatFinding(const Finding& f);
@@ -77,8 +73,8 @@ std::size_t UnsuppressedCount(const std::vector<Finding>& findings);
 // JSON object {"findings": [...], "total": N, "unsuppressed": M}.
 std::string FindingsToJson(const std::vector<Finding>& findings);
 
-// Parses the exact shape FindingsToJson writes (plus arbitrary whitespace).
-// Returns false and sets `*error` on malformed input.
+// Parses the shape FindingsToJson writes (any JSON layout; unknown keys are
+// ignored). Returns false and sets `*error` on malformed input.
 bool FindingsFromJson(std::string_view json, std::vector<Finding>* out, std::string* error);
 
 // SARIF 2.1.0 log: one run, the full rules catalog, one result per finding.

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include "src/base/strings.h"
+#include "src/lint/path_walk.h"
 
 namespace hwprof::lint {
 
@@ -28,40 +30,6 @@ struct PathState {
   std::vector<Open> spans;  // OBS_SPAN_BEGIN not yet OBS_SPAN_END'd
 };
 
-std::string StateKey(const PathState& st) {
-  std::string key;
-  auto add = [&key](const std::vector<Open>& stack) {
-    for (const Open& o : stack) {
-      key += StrFormat("%s@%d;", o.var.c_str(), o.line);
-    }
-    key.push_back('|');
-  };
-  add(st.spl);
-  add(st.raw);
-  add(st.emits);
-  add(st.spans);
-  return key;
-}
-
-// Paths multiply at every branch; identical states are merged and the
-// population is capped so pathological nesting stays linear. Dropping states
-// past the cap loses recall, never soundness of the states kept.
-constexpr std::size_t kMaxStates = 64;
-
-std::vector<PathState> DedupAndCap(std::vector<PathState> states) {
-  std::vector<PathState> out;
-  std::set<std::string> seen;
-  for (PathState& st : states) {
-    if (out.size() >= kMaxStates) {
-      break;
-    }
-    if (seen.insert(StateKey(st)).second) {
-      out.push_back(std::move(st));
-    }
-  }
-  return out;
-}
-
 // Pops the innermost entry whose var matches; when nothing matches (the
 // level travelled through a rename or a struct member we do not track), pops
 // the innermost entry anyway — leniency here trades recall for a near-zero
@@ -81,54 +49,38 @@ void PopMatching(std::vector<Open>* stack, const std::string& var) {
   stack->pop_back();
 }
 
+// The rule checker's path walker (see path_walk.h): each path carries the
+// open-obligation stacks, and findings are reported as events and returns
+// are reached.
 class FunctionChecker {
  public:
   FunctionChecker(const SourceFile& file, const FunctionModel& fn,
                   const CallGraph* graph, std::vector<Finding>* findings)
       : file_(file), fn_(fn), graph_(graph), findings_(findings) {}
 
+  using State = PathState;
+
   void Run(std::vector<Open>* entry_unclosed, std::vector<Open>* exit_orphans) {
     entry_unclosed_ = entry_unclosed;
     exit_orphans_ = exit_orphans;
-    if (fn_.body == nullptr) {
-      return;
-    }
-    std::vector<PathState> states = Eval(*fn_.body, {PathState{}});
-    const int end_line = EndLine(*fn_.body);
-    for (const PathState& st : states) {
-      EndOfPath(st, end_line);
+    if (fn_.body != nullptr) {
+      WalkPaths(*fn_.body, *this);
     }
   }
 
- private:
-  static int EndLine(const Stmt& s) {
-    int line = s.line;
-    for (const auto& child : s.children) {
-      line = std::max(line, EndLine(*child));
-    }
-    return line;
-  }
-
-  void Report(const char* rule, int line, std::string message, std::string note = "") {
-    if (!reported_.insert({rule, line}).second) {
-      return;
-    }
-    Finding f;
-    f.rule = rule;
-    f.file = file_.path;
-    f.line = line;
-    f.message = std::move(message);
-    f.note = std::move(note);
-    findings_->push_back(std::move(f));
-  }
-
-  void AddCandidate(std::vector<Open>* list, const Open& open) {
-    for (const Open& o : *list) {
-      if (o.line == open.line) {
-        return;
+  std::string Key(const PathState& st) const {
+    std::string key;
+    auto add = [&key](const std::vector<Open>& stack) {
+      for (const Open& o : stack) {
+        key += StrFormat("%s@%d;", o.var.c_str(), o.line);
       }
-    }
-    list->push_back(open);
+      key.push_back('|');
+    };
+    add(st.spl);
+    add(st.raw);
+    add(st.emits);
+    add(st.spans);
+    return key;
   }
 
   void EndOfPath(const PathState& st, int line) {
@@ -164,7 +116,7 @@ class FunctionChecker {
     }
   }
 
-  void ApplyEvent(const Stmt& s, PathState* st) {
+  void Apply(const Stmt& s, PathState* st) {
     switch (s.event) {
       case EventKind::kSplRaise:
         if (s.var.empty()) {
@@ -243,11 +195,9 @@ class FunctionChecker {
                StrFormat("in %s", fn_.name.c_str()));
         break;
       case EventKind::kCall: {
-        if (graph_ == nullptr) {
-          break;
-        }
-        const FuncSummary* callee = graph_->EffectiveSummary(s.what, fn_.name);
-        if (callee == nullptr) {
+        const std::optional<CallEffect> callee =
+            graph_ == nullptr ? std::nullopt : graph_->EffectOfCall(s.what, fn_.name);
+        if (!callee) {
           break;  // external callee: neutral by policy
         }
         if (callee->may_sleep) {
@@ -258,7 +208,7 @@ class FunctionChecker {
                              "%s() (line %d) holds the interrupt level raised",
                              s.what.c_str(), o.what.c_str(), o.line),
                    StrFormat("in %s; call chain: %s", fn_.name.c_str(),
-                             FormatSleepChain(s.what, *callee).c_str()));
+                             FormatSleepChain(s.what, *callee->sleep_path).c_str()));
           } else if (!st->raw.empty()) {
             const Open& o = st->raw.back();
             Report("spl-sleep-transitive", s.line,
@@ -266,7 +216,7 @@ class FunctionChecker {
                              "RawRaise() region (line %d)",
                              s.what.c_str(), o.line),
                    StrFormat("in %s; call chain: %s", fn_.name.c_str(),
-                             FormatSleepChain(s.what, *callee).c_str()));
+                             FormatSleepChain(s.what, *callee->sleep_path).c_str()));
           }
         }
         if (callee->has_annotation) {
@@ -288,63 +238,27 @@ class FunctionChecker {
     }
   }
 
-  std::vector<PathState> Eval(const Stmt& s, std::vector<PathState> states) {
-    if (states.empty()) {
-      return states;  // dead code after a return on every path
+ private:
+  void Report(const char* rule, int line, std::string message, std::string note = "") {
+    if (!reported_.insert({rule, line}).second) {
+      return;
     }
-    switch (s.kind) {
-      case Stmt::Kind::kBlock: {
-        for (const auto& child : s.children) {
-          states = Eval(*child, std::move(states));
-        }
-        return states;
-      }
-      case Stmt::Kind::kIf: {
-        std::vector<PathState> taken = Eval(*s.children[0], states);
-        std::vector<PathState> other =
-            s.children.size() > 1 ? Eval(*s.children[1], states) : states;
-        taken.insert(taken.end(), std::make_move_iterator(other.begin()),
-                     std::make_move_iterator(other.end()));
-        return DedupAndCap(std::move(taken));
-      }
-      case Stmt::Kind::kLoop: {
-        // Zero-or-one executions: one pass through the body surfaces any
-        // per-iteration imbalance, and the zero case keeps skip paths live.
-        std::vector<PathState> once = Eval(*s.children[0], states);
-        once.insert(once.end(), std::make_move_iterator(states.begin()),
-                    std::make_move_iterator(states.end()));
-        return DedupAndCap(std::move(once));
-      }
-      case Stmt::Kind::kSwitch: {
-        // Case labels are not modeled, so the body is walked linearly with the
-        // entry states revived whenever every path has returned — a later case
-        // starts fresh from the switch head. The entry states are unioned back
-        // in at the end for the no-case-matched paths.
-        const std::vector<PathState> entry = states;
-        std::vector<PathState> cur = states;
-        for (const auto& child : s.children[0]->children) {
-          cur = Eval(*child, std::move(cur));
-          if (cur.empty()) {
-            cur = entry;
-          }
-        }
-        cur.insert(cur.end(), entry.begin(), entry.end());
-        return DedupAndCap(std::move(cur));
-      }
-      case Stmt::Kind::kEvent: {
-        for (PathState& st : states) {
-          ApplyEvent(s, &st);
-        }
-        return DedupAndCap(std::move(states));
-      }
-      case Stmt::Kind::kReturn: {
-        for (const PathState& st : states) {
-          EndOfPath(st, s.line);
-        }
-        return {};
+    Finding f;
+    f.rule = rule;
+    f.file = file_.path;
+    f.line = line;
+    f.message = std::move(message);
+    f.note = std::move(note);
+    findings_->push_back(std::move(f));
+  }
+
+  void AddCandidate(std::vector<Open>* list, const Open& open) {
+    for (const Open& o : *list) {
+      if (o.line == open.line) {
+        return;
       }
     }
-    return states;
+    list->push_back(open);
   }
 
   const SourceFile& file_;
@@ -355,15 +269,6 @@ class FunctionChecker {
   std::vector<Open>* exit_orphans_ = nullptr;
   std::set<std::pair<std::string, int>> reported_;
 };
-
-// Splits "A::B::C" into {"A::B", "C"}; qualifier empty for unqualified names.
-std::pair<std::string, std::string> SplitLastComponent(const std::string& name) {
-  const std::size_t pos = name.rfind("::");
-  if (pos == std::string::npos) {
-    return {"", name};
-  }
-  return {name.substr(0, pos), name.substr(pos + 2)};
-}
 
 std::string ClassOf(const std::string& qualifier) {
   return SplitLastComponent(qualifier).second;

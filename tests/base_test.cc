@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/base/json.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/base/units.h"
@@ -138,6 +139,12 @@ TEST(Strings, StartsWith) {
   EXPECT_TRUE(StartsWith("x", ""));
 }
 
+TEST(Strings, EndsWith) {
+  EXPECT_TRUE(EndsWith("A::Sock::Close", "::Close"));
+  EXPECT_FALSE(EndsWith("se", "Close"));
+  EXPECT_TRUE(EndsWith("x", ""));
+}
+
 TEST(Strings, ParseUintAccepts) {
   std::uint64_t v = 0;
   EXPECT_TRUE(ParseUint("0", &v));
@@ -173,6 +180,33 @@ TEST(Strings, AppendJsonStringEscapesSpecialsAndControlBytes) {
   out.clear();
   AppendJsonString("\x7f\xc3\xa9", &out);
   EXPECT_EQ(out, "\"\x7f\xc3\xa9\"");
+}
+
+TEST(Json, ParsesWhatAppendJsonStringWrites) {
+  std::string text = "{\"name\": ";
+  AppendJsonString("a\"b\\c\nd\x01", &text);
+  text += ", \"n\": -2.5e1, \"ok\": true, \"list\": [1, null, {}]}";
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(ParseJson(text, &root, &error)) << error;
+  ASSERT_EQ(root.kind, JsonValue::kObject);
+  ASSERT_NE(root.Get("name"), nullptr);
+  EXPECT_EQ(root.Get("name")->str, "a\"b\\c\nd\x01");
+  EXPECT_EQ(root.Get("n")->number, -25.0);
+  EXPECT_TRUE(root.Get("ok")->boolean);
+  ASSERT_EQ(root.Get("list")->arr.size(), 3u);
+  EXPECT_EQ(root.Get("list")->arr[1].kind, JsonValue::kNull);
+  EXPECT_EQ(root.Get("missing"), nullptr);
+}
+
+TEST(Json, RejectsMalformedInputWithAnOffset) {
+  JsonValue root;
+  std::string error;
+  EXPECT_FALSE(ParseJson("{\"a\": [1, 2}", &root, &error));
+  EXPECT_NE(error.find("JSON parse error at offset"), std::string::npos) << error;
+  EXPECT_FALSE(ParseJson("{} x", &root, &error));
+  EXPECT_NE(error.find("trailing garbage"), std::string::npos) << error;
+  EXPECT_FALSE(ParseJson("\"open", &root, &error));
 }
 
 // --- Units ---------------------------------------------------------------------------

@@ -221,8 +221,8 @@ TEST(LintGraph, TransitiveSleepDepthThree) {
   EXPECT_EQ(middle.sleep_path[1].what, "Tsleep");
   const FuncSummary& raised = result.graph.summaries().at("RaisedCaller");
   EXPECT_TRUE(raised.may_sleep);
-  EXPECT_EQ(raised.spl_lo, 0);  // balanced despite the raise
-  EXPECT_EQ(raised.spl_hi, 0);
+  EXPECT_EQ(raised.spl.lo, 0);  // balanced despite the raise
+  EXPECT_EQ(raised.spl.hi, 0);
 }
 
 TEST(LintGraph, InterruptReachableSleeper) {
@@ -261,12 +261,12 @@ TEST(LintGraph, AnnotatedHelperContracts) {
   EXPECT_EQ(result.unsuppressed(), 3u);
   // The helpers' computed summaries match their declarations.
   const FuncSummary& raise = result.graph.summaries().at("RaiseNet");
-  EXPECT_EQ(raise.spl_lo, 1);
-  EXPECT_EQ(raise.spl_hi, 1);
+  EXPECT_EQ(raise.spl.lo, 1);
+  EXPECT_EQ(raise.spl.hi, 1);
   EXPECT_TRUE(raise.has_annotation);
   const FuncSummary& release = result.graph.summaries().at("ReleaseNet");
-  EXPECT_EQ(release.spl_lo, -1);
-  EXPECT_EQ(release.spl_hi, -1);
+  EXPECT_EQ(release.spl.lo, -1);
+  EXPECT_EQ(release.spl.hi, -1);
 }
 
 TEST(LintGraph, RecursionCycles) {
@@ -327,8 +327,20 @@ TEST(LintGraph, ExternalCalleesAreNeutral) {
       "  k.spl().splx(s);\n"
       "}\n"}});
   EXPECT_EQ(result.unsuppressed(), 0u);
-  EXPECT_EQ(result.graph.EffectiveSummary("SomeLibraryRoutine", "CallsLibrary"),
-            nullptr);
+  EXPECT_FALSE(result.graph.EffectOfCall("SomeLibraryRoutine", "CallsLibrary").has_value());
+}
+
+TEST(LintGraph, AmbiguousQualifiedCallChargesOnlyItsTargets) {
+  // The checker and the solver charge a call with the same effect: widened
+  // over exactly the resolved targets, never over every function that
+  // shares the last name component (Vnode::Close is the only sleeper).
+  const LintResult result = LintFixture("ambiguous_qualified.cc");
+  EXPECT_TRUE(ByRule(result, "spl-sleep-transitive").empty());
+  EXPECT_EQ(result.unsuppressed(), 0u);
+  EXPECT_EQ(result.graph.Resolve("Sock::Close", "Caller"),
+            (std::vector<std::string>{"A::Sock::Close", "B::Sock::Close"}));
+  EXPECT_FALSE(result.graph.summaries().at("Caller").may_sleep);
+  EXPECT_TRUE(result.graph.summaries().at("Vnode::Close").may_sleep);
 }
 
 // --- instrumentation rules ---------------------------------------------------

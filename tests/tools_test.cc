@@ -13,6 +13,8 @@
 #include "src/workloads/workloads.h"
 #include "tools/analyze_main.h"
 #include "tools/capture_main.h"
+#include "tools/hwprofd_main.h"
+#include "tools/lint_main.h"
 
 namespace hwprof {
 namespace {
@@ -541,6 +543,62 @@ TEST(CaptureCli, OptimizationConfigChangesTheCapture) {
   ASSERT_FALSE(off_bytes.empty());
   ASSERT_FALSE(on_bytes.empty());
   EXPECT_NE(on_bytes, off_bytes);
+}
+
+
+// --- hwprof_lint and hwprofd names/capture loading ----------------------------
+
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  return path;
+}
+
+int RunLintCli(std::initializer_list<const char*> args, std::string* error) {
+  std::vector<const char*> argv{"hwprof_lint"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  ::testing::internal::CaptureStdout();
+  const int rc = LintMain(static_cast<int>(argv.size()), argv.data(), error);
+  ::testing::internal::GetCapturedStdout();
+  return rc;
+}
+
+TEST(LintCli, TraceReadsAStreamFile) {
+  // --trace loads through the one capture reader, so a text stream file
+  // cross-checks like a capture instead of failing to load.
+  const std::string source = WriteTempFile("lint_trace.cc", "void Plain() {}\n");
+  const std::string names = WriteTempFile("lint_trace.names", "a/100\nb/102\n");
+  const std::string stream = ::testing::TempDir() + "/lint_trace.hwstream";
+  ASSERT_TRUE(SaveStreamHeader(stream, 24, 1'000'000));
+  TraceChunk chunk;
+  chunk.events = {{100, 10}, {102, 20}, {103, 60}, {101, 90}};
+  ASSERT_TRUE(AppendStreamChunk(stream, chunk));
+  std::string error;
+  const int rc = RunLintCli(
+      {"--tags", names.c_str(), "--trace", stream.c_str(), source.c_str()}, &error);
+  EXPECT_NE(rc, 2) << error;
+  EXPECT_TRUE(error.empty()) << error;
+}
+
+TEST(LintCli, BadNamesFileReportsPathAndLine) {
+  const std::string source = WriteTempFile("lint_bad.cc", "void Plain() {}\n");
+  const std::string names = WriteTempFile("lint_bad.names", "not a tag line\n");
+  const CliFiles files = WriteSessionFiles();
+  std::string error;
+  EXPECT_EQ(RunLintCli({"--tags", names.c_str(), "--trace", files.capture.c_str(),
+                        source.c_str()},
+                       &error),
+            2);
+  EXPECT_NE(error.find(names + ":1: "), std::string::npos) << error;
+}
+
+TEST(HwprofdCli, ServeReportsBadNamesFileWithPathAndLine) {
+  const std::string names = WriteTempFile("hwprofd_bad.names", "not a tag line\n");
+  const char* argv[] = {"hwprofd", "serve", names.c_str()};
+  std::string error;
+  EXPECT_EQ(HwprofdMain(3, argv, &error), 1);
+  EXPECT_NE(error.find(names + ":1: "), std::string::npos) << error;
 }
 
 }  // namespace

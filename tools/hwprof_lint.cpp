@@ -1,188 +1,21 @@
-// hwprof_lint: static instrumentation and spl-discipline analyzer.
+// hwprof_lint: static instrumentation and spl-discipline analyzer. See
+// tools/lint_main.h for the options.
 //
-//   hwprof_lint [options] [paths...]
-//
-//   paths                 files or directories to analyze (default: the
-//                         whole src tree)
-//   --json                machine-readable findings on stdout
-//   --sarif               SARIF 2.1.0 findings on stdout (for CI annotation)
-//   --tags FILE           validate FILE as a tag file against the sources
-//   --trace FILE          cross-check a saved capture (needs --tags) against
-//                         the static call-structure model
-//   --model-out FILE      write the call-structure model, resolved call
-//                         graph, and per-function summaries as JSON
-//   --all                 print suppressed findings too
-//   --root DIR            chdir-free prefix applied to the default paths
+//   hwprof_lint src
+//   hwprof_lint --tags kernel.names --trace capture.hwprof src
 //
 // Exit status: 0 = clean, 1 = unsuppressed findings, 2 = usage or I/O error.
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
-#include "src/analysis/decoder.h"
-#include "src/instr/tag_file.h"
-#include "src/lint/lint.h"
-#include "src/lint/rules.h"
-#include "src/lint/trace_check.h"
-#include "src/profhw/smart_socket.h"
-
-namespace {
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--json] [--sarif] [--tags FILE] [--trace FILE] "
-               "[--model-out FILE] [--all] [--root DIR] [paths...]\n",
-               argv0);
-  return 2;
-}
-
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  out->assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  return true;
-}
-
-}  // namespace
+#include "tools/lint_main.h"
 
 int main(int argc, char** argv) {
-  using hwprof::lint::Finding;
-
-  bool json = false;
-  bool sarif = false;
-  bool show_all = false;
-  std::string tags_path;
-  std::string trace_path;
-  std::string model_out;
-  std::string root;
-  std::vector<std::string> paths;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](std::string* out) {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      *out = argv[++i];
-      return true;
-    };
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--sarif") {
-      sarif = true;
-    } else if (arg == "--all") {
-      show_all = true;
-    } else if (arg == "--tags") {
-      if (!next(&tags_path)) return Usage(argv[0]);
-    } else if (arg == "--trace") {
-      if (!next(&trace_path)) return Usage(argv[0]);
-    } else if (arg == "--model-out") {
-      if (!next(&model_out)) return Usage(argv[0]);
-    } else if (arg == "--root") {
-      if (!next(&root)) return Usage(argv[0]);
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "hwprof_lint: unknown option '%s'\n", arg.c_str());
-      return Usage(argv[0]);
-    } else {
-      paths.push_back(arg);
-    }
-  }
-
-  if (json && sarif) {
-    std::fprintf(stderr, "hwprof_lint: --json and --sarif are exclusive\n");
-    return Usage(argv[0]);
-  }
-
-  hwprof::lint::LintConfig config;
-  if (paths.empty()) {
-    const std::filesystem::path base = root.empty() ? "." : root;
-    config.paths.push_back((base / "src").generic_string());
-  } else {
-    config.paths = std::move(paths);
-  }
-  config.tag_file = tags_path;
-
-  hwprof::lint::LintResult result = hwprof::lint::RunLint(config);
-  for (const std::string& error : result.errors) {
+  std::string error;
+  const int rc = hwprof::LintMain(argc, argv, &error);
+  if (!error.empty()) {
     std::fprintf(stderr, "hwprof_lint: %s\n", error.c_str());
   }
-  if (!result.errors.empty()) {
-    return 2;
-  }
-
-  if (!trace_path.empty()) {
-    if (tags_path.empty()) {
-      std::fprintf(stderr, "hwprof_lint: --trace requires --tags\n");
-      return 2;
-    }
-    std::string tag_text;
-    hwprof::TagFile names;
-    hwprof::RawTrace raw;
-    if (!ReadWholeFile(tags_path, &tag_text) ||
-        !hwprof::TagFile::Parse(tag_text, &names)) {
-      std::fprintf(stderr, "hwprof_lint: cannot parse tag file '%s'\n",
-                   tags_path.c_str());
-      return 2;
-    }
-    if (!hwprof::LoadCapture(trace_path, &raw)) {
-      std::fprintf(stderr, "hwprof_lint: cannot load capture '%s'\n",
-                   trace_path.c_str());
-      return 2;
-    }
-    const hwprof::DecodedTrace trace = hwprof::Decoder::Decode(raw, names);
-    hwprof::lint::CrossCheckTrace(trace, names, result.model, &result.findings);
-    hwprof::lint::ApplySuppressions(result.sources, &result.findings);
-    hwprof::lint::SortFindings(&result.findings);
-  }
-
-  if (!model_out.empty()) {
-    std::ofstream out(model_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "hwprof_lint: cannot write '%s'\n", model_out.c_str());
-      return 2;
-    }
-    out << hwprof::lint::ModelToJson(result.model,
-                                     hwprof::lint::CallGraphToJson(result.graph));
-  }
-
-  if (json || sarif) {
-    std::vector<Finding> shown;
-    for (const Finding& f : result.findings) {
-      // SARIF carries suppressed findings as inSource suppressions; plain
-      // JSON keeps the historical behavior of hiding them without --all.
-      if (sarif || show_all || !f.suppressed) {
-        shown.push_back(f);
-      }
-    }
-    std::fputs(sarif ? hwprof::lint::FindingsToSarif(shown).c_str()
-                     : hwprof::lint::FindingsToJson(shown).c_str(),
-               stdout);
-  } else {
-    std::size_t suppressed = 0;
-    for (const Finding& f : result.findings) {
-      if (f.suppressed && !show_all) {
-        ++suppressed;
-        continue;
-      }
-      std::printf("%s\n", hwprof::lint::FormatFinding(f).c_str());
-    }
-    std::printf("hwprof_lint: %zu file%s, %zu finding%s (%zu unsuppressed",
-                result.sources.size(), result.sources.size() == 1 ? "" : "s",
-                result.findings.size(), result.findings.size() == 1 ? "" : "s",
-                result.unsuppressed());
-    if (!show_all && suppressed > 0) {
-      std::printf(", %zu suppressed hidden", suppressed);
-    }
-    std::printf(")\n");
-  }
-
-  return result.unsuppressed() == 0 ? 0 : 1;
+  return rc;
 }

@@ -36,16 +36,8 @@ int ServeMode(int argc, const char* const* argv, std::string* error) {
     *error = "usage: hwprofd serve <names-file> --socket PATH [options]";
     return 1;
   }
-  std::string names_text;
-  if (!ReadFileToString(argv[2], &names_text)) {
-    *error = StrFormat("cannot read names file %s", argv[2]);
-    return 1;
-  }
   TagFile names;
-  std::vector<TagDiag> diags;
-  if (!TagFile::Parse(names_text, &names, &diags)) {
-    *error = StrFormat("names file %s: %zu parse problem(s)", argv[2],
-                       diags.size());
+  if (!LoadNamesFile(argv[2], &names, error)) {
     return 1;
   }
 
