@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -20,44 +19,69 @@ namespace {
 // lookahead.
 constexpr std::size_t kCompactThreshold = 4096;
 
-// Folds one completed call into a per-function stats map. Sums and min/max
-// commute, so folds may happen in any order.
-void FoldNode(const CallNode& n, std::map<std::string, FuncStats>* pf,
-              Nanoseconds* idle) {
-  FuncStats& s = (*pf)[n.fn->name];
-  const Nanoseconds net = n.Net();
-  if (s.calls == 0) {
-    s.min_net = net;
-    s.max_net = net;
-  } else {
-    s.min_net = std::min(s.min_net, net);
-    s.max_net = std::max(s.max_net, net);
+// Adds `s` into `d`. Sums and min/max commute, so per-function stats may be
+// folded and combined in any order.
+void CombineStats(const FuncStats& s, FuncStats* d) {
+  if (d->calls == 0) {
+    *d = s;
+    return;
   }
-  ++s.calls;
-  s.elapsed += n.Elapsed();
-  s.net += net;
-  if (n.fn->kind == TagKind::kContextSwitch) {
-    s.context_switch = true;
-    *idle += net;
-  }
+  d->calls += s.calls;
+  d->net += s.net;
+  d->elapsed += s.elapsed;
+  d->min_net = std::min(d->min_net, s.min_net);
+  d->max_net = std::max(d->max_net, s.max_net);
+  d->context_switch = d->context_switch || s.context_switch;
 }
 
-void CombineStats(const std::map<std::string, FuncStats>& part,
-                  std::map<std::string, FuncStats>* into) {
-  for (const auto& [name, s] : part) {
-    FuncStats& d = (*into)[name];
-    if (d.calls == 0) {
-      d = s;
-      continue;
+// Per-function stats keyed by dense function id (TagFile::IndexOf), plus the
+// idle account. Folding a closed call is an index, not a name lookup; names
+// are attached only when a result is read (AddTo).
+class FuncTable {
+ public:
+  explicit FuncTable(const TagFile& names) : names_(&names), by_id_(names.size()) {}
+
+  // Folds one completed call (or, for a stats snapshot, an open one with its
+  // time to date).
+  void Fold(const TagEntry* fn, Nanoseconds net, Nanoseconds elapsed) {
+    FuncStats one;
+    one.calls = 1;
+    one.net = net;
+    one.elapsed = elapsed;
+    one.min_net = net;
+    one.max_net = net;
+    one.context_switch = fn->kind == TagKind::kContextSwitch;
+    CombineStats(one, &by_id_[names_->IndexOf(fn)]);
+    if (one.context_switch) {
+      idle_ += net;
     }
-    d.calls += s.calls;
-    d.net += s.net;
-    d.elapsed += s.elapsed;
-    d.min_net = std::min(d.min_net, s.min_net);
-    d.max_net = std::max(d.max_net, s.max_net);
-    d.context_switch = d.context_switch || s.context_switch;
   }
-}
+
+  void Combine(const FuncTable& part) {
+    for (std::size_t id = 0; id < by_id_.size(); ++id) {
+      if (part.by_id_[id].calls != 0) {
+        CombineStats(part.by_id_[id], &by_id_[id]);
+      }
+    }
+    idle_ += part.idle_;
+  }
+
+  // Adds every function folded so far to `into`'s per-function stats and
+  // idle time.
+  void AddTo(DecodedTrace* into) const {
+    for (std::size_t id = 0; id < by_id_.size(); ++id) {
+      if (by_id_[id].calls != 0) {
+        CombineStats(by_id_[id], &into->per_function[names_->entries()[id].name]);
+      }
+    }
+    into->idle_time += idle_;
+  }
+
+ private:
+  const TagFile* names_;
+  std::vector<FuncStats> by_id_;
+  Nanoseconds idle_ = 0;
+};
 
 // --- The op script -----------------------------------------------------------
 // The matcher's decisions, one op per structural effect. Replay is a
@@ -102,22 +126,34 @@ struct ChainSnapshot {
 };
 
 // --- Replay ------------------------------------------------------------------
-// The only place that builds: CallNode allocation, per-interval attribution
-// to the running context's open chain, step emission, and the fold of each
-// call as it closes. A replay seeded with open chains (a shard after the
-// first) stands in for them with placeholder nodes that Assemble grafts back.
+// The only place that attributes time and builds: per-interval attribution
+// to the running context, the fold of each call as it closes and, when
+// structure is retained, CallNode allocation and step emission. A replay
+// seeded with open chains (a shard after the first; always retaining)
+// stands in for them with placeholder nodes that Assemble grafts back.
+//
+// Attribution is O(1) per op. Each stack keeps an on-CPU clock: the sum of
+// the intervals charged while it ran with a call open. A call's elapsed time
+// is the clock's advance between its open and its close, and its net time is
+// that minus its direct children's elapsed. Both are integer sums of the
+// same intervals the per-frame charge would add, so they are exact.
 
 class Replayer {
  public:
   struct Frame {
-    CallNode* node = nullptr;
+    const TagEntry* fn = nullptr;
+    Nanoseconds opened_at = 0;         // the stack's clock at open
+    Nanoseconds children_elapsed = 0;  // elapsed of its closed direct children
+    CallNode* node = nullptr;          // retained structure only
     std::uint32_t id = 0;
     bool own = false;  // opened in this replay (not a placeholder)
   };
-  // Per stack touched: a synthetic local root, whose children are the
-  // placeholder chain head (if any) followed by new top-level calls.
+  // Per stack touched: with retained structure, a synthetic local root whose
+  // children are the placeholder chain head (if any) followed by new
+  // top-level calls.
   struct LocalStack {
     int id = 0;
+    Nanoseconds clock = 0;
     std::unique_ptr<CallNode> root;
     std::vector<Frame> chain;
   };
@@ -126,10 +162,10 @@ class Replayer {
     CallNode* ptr = nullptr;
   };
 
-  // `retain` keeps the call trees and the step list; otherwise every call is
-  // folded and freed as it closes, so memory is bounded by stack depth.
-  Replayer(bool retain, ChainSnapshot seed)
-      : retain_(retain), seed_(std::move(seed)), last_t_(seed_.last_time) {
+  // `retain` keeps the call trees and the step list; otherwise no CallNode
+  // is allocated and memory is bounded by stack depth.
+  Replayer(const TagFile& names, bool retain, ChainSnapshot seed)
+      : funcs(names), retain_(retain), seed_(std::move(seed)), last_t_(seed_.last_time) {
     cur_ = &StackFor(seed_.current);
   }
 
@@ -138,19 +174,16 @@ class Replayer {
       Close(StackFor(op.stack), op);
       return;
     }
-    // Charge the interval since the previous op to the running context: net
-    // to its innermost open call, elapsed to every open call on its stack. A
-    // call whose process is switched out accumulates nothing while off-CPU
-    // (the paper's per-activity-block rule); time with no open call (user
-    // mode / unprofiled code) stays unattributed.
-    const Nanoseconds interval = op.t - last_t_;
-    last_t_ = op.t;
-    if (interval != 0 && !cur_->chain.empty()) {
-      cur_->chain.back().node->net_acc += interval;
-      for (const Frame& f : cur_->chain) {
-        f.node->elapsed_acc += interval;
-      }
+    // Charge the interval since the previous op to the running context: its
+    // clock advances, which is elapsed time for every call open on it and
+    // net time for the innermost. A call whose process is switched out
+    // accumulates nothing while off-CPU (the paper's per-activity-block
+    // rule); time with no open call (user mode / unprofiled code) stays
+    // unattributed.
+    if (!cur_->chain.empty()) {
+      cur_->clock += op.t - last_t_;
     }
+    last_t_ = op.t;
     switch (op.kind) {
       case OpKind::kSetCurrent:
         cur_ = &StackFor(op.stack);
@@ -170,16 +203,30 @@ class Replayer {
     }
   }
 
+  // Writes each still-open retained frame's time to date into its node, so
+  // Assemble can sum a call's per-shard parts. Runs when a shard's replay
+  // ends.
+  void SealOpenNodes() {
+    for (auto& [sid, ls] : stacks) {
+      for (std::size_t i = 0; i < ls.chain.size(); ++i) {
+        if (CallNode* n = ls.chain[i].node) {
+          n->elapsed_acc = Elapsed(ls, i);
+          n->net_acc = NetToDate(ls, i);
+        }
+      }
+    }
+  }
+
   // Adds everything replayed so far to `into`'s per-function stats and idle
   // time: closed calls as folded, open ones with their time to date.
   void StatsSoFar(DecodedTrace* into) const {
-    CombineStats(per_function, &into->per_function);
-    into->idle_time += idle;
+    FuncTable so_far = funcs;
     for (const auto& [sid, ls] : stacks) {
-      for (const Frame& f : ls.chain) {
-        FoldNode(*f.node, &into->per_function, &into->idle_time);
+      for (std::size_t i = 0; i < ls.chain.size(); ++i) {
+        so_far.Fold(ls.chain[i].fn, NetToDate(ls, i), Elapsed(ls, i));
       }
     }
+    so_far.AddTo(into);
   }
 
   // Results, read by Assemble.
@@ -188,10 +235,19 @@ class Replayer {
   std::vector<TraceStep> steps;
   // Steps closing a placeholder: only these need their node remapped.
   std::vector<std::size_t> ph_steps;
-  std::map<std::string, FuncStats> per_function;
-  Nanoseconds idle = 0;
+  FuncTable funcs;
 
  private:
+  static Nanoseconds Elapsed(const LocalStack& ls, std::size_t i) {
+    return ls.clock - ls.chain[i].opened_at;
+  }
+  // Net time of open frame `i`: its elapsed minus its closed children's and
+  // its open child's (the next frame on the chain).
+  static Nanoseconds NetToDate(const LocalStack& ls, std::size_t i) {
+    const Nanoseconds inner = i + 1 < ls.chain.size() ? Elapsed(ls, i + 1) : 0;
+    return Elapsed(ls, i) - ls.chain[i].children_elapsed - inner;
+  }
+
   LocalStack& StackFor(int sid) {
     auto it = stacks.find(sid);
     if (it != stacks.end()) {
@@ -199,7 +255,9 @@ class Replayer {
     }
     LocalStack ls;
     ls.id = sid;
-    ls.root = std::make_unique<CallNode>();
+    if (retain_) {
+      ls.root = std::make_unique<CallNode>();
+    }
     // Replicate the open chain as placeholder nodes so depths, step targets
     // and attribution all line up.
     for (const auto& [chain_sid, chain] : seed_.chains) {
@@ -214,7 +272,7 @@ class Replayer {
         CallNode* raw = ph.get();
         parent->children.push_back(std::move(ph));
         placeholders.push_back(Placeholder{frame.node, raw});
-        ls.chain.push_back(Frame{raw, frame.node, /*own=*/false});
+        ls.chain.push_back(Frame{frame.fn, 0, 0, raw, frame.node, /*own=*/false});
         parent = raw;
       }
       break;
@@ -227,17 +285,18 @@ class Replayer {
       return;  // markers carry no stats; only trees and steps show them
     }
     LocalStack& ls = *cur_;
-    auto node = std::make_unique<CallNode>();
-    node->fn = op.fn;
-    node->entry_time = op.t;
-    node->exit_time = op.t;
-    node->inline_marker = inline_marker;
-    node->closed = inline_marker;
-    CallNode* parent = ls.chain.empty() ? ls.root.get() : ls.chain.back().node;
-    node->parent = parent;
-    CallNode* raw = node.get();
-    parent->children.push_back(std::move(node));
+    CallNode* raw = nullptr;
     if (retain_) {
+      auto node = std::make_unique<CallNode>();
+      node->fn = op.fn;
+      node->entry_time = op.t;
+      node->exit_time = op.t;
+      node->inline_marker = inline_marker;
+      node->closed = inline_marker;
+      CallNode* parent = ls.chain.empty() ? ls.root.get() : ls.chain.back().node;
+      node->parent = parent;
+      raw = node.get();
+      parent->children.push_back(std::move(node));
       TraceStep step;
       step.t = op.t;
       step.node = raw;
@@ -246,7 +305,7 @@ class Replayer {
       steps.push_back(step);
     }
     if (!inline_marker) {
-      ls.chain.push_back(Frame{raw, op.node, /*own=*/true});
+      ls.chain.push_back(Frame{op.fn, ls.clock, 0, raw, op.node, /*own=*/true});
     }
   }
 
@@ -254,34 +313,37 @@ class Replayer {
     HWPROF_CHECK(!ls.chain.empty());
     const Frame f = ls.chain.back();
     ls.chain.pop_back();
-    CallNode* n = f.node;
-    n->exit_time = op.t;
-    n->closed = true;
-    n->forced_close = op.kind == OpKind::kFinishClose || (op.flags & kOpForced) != 0;
-    if (retain_ && op.kind == OpKind::kClose) {
-      TraceStep step;
-      step.t = op.t;
-      step.node = n;
-      step.is_exit = true;
-      step.depth = static_cast<int>(ls.chain.size());
-      step.stack_id = ls.id;
-      step.context_switch_in = (op.flags & kOpCtxSwitchIn) != 0;
-      if (!f.own) {
-        ph_steps.push_back(steps.size());
+    const Nanoseconds elapsed = ls.clock - f.opened_at;
+    const Nanoseconds net = elapsed - f.children_elapsed;
+    if (!ls.chain.empty()) {
+      ls.chain.back().children_elapsed += elapsed;
+    }
+    if (CallNode* n = f.node) {
+      n->exit_time = op.t;
+      n->closed = true;
+      n->forced_close = op.kind == OpKind::kFinishClose || (op.flags & kOpForced) != 0;
+      // For a placeholder these are this replay's part; Assemble adds the rest.
+      n->elapsed_acc = elapsed;
+      n->net_acc = net;
+      if (op.kind == OpKind::kClose) {
+        TraceStep step;
+        step.t = op.t;
+        step.node = n;
+        step.is_exit = true;
+        step.depth = static_cast<int>(ls.chain.size());
+        step.stack_id = ls.id;
+        step.context_switch_in = (op.flags & kOpCtxSwitchIn) != 0;
+        if (!f.own) {
+          ph_steps.push_back(steps.size());
+        }
+        steps.push_back(step);
       }
-      steps.push_back(step);
     }
-    if (!f.own) {
-      return;  // a placeholder: Assemble folds the real node once complete
-    }
-    // Closed calls never accumulate further time: fold now, exactly the
-    // contribution a final tree walk would make.
-    FoldNode(*n, &per_function, &idle);
-    if (!retain_) {
-      // With no markers and no closed siblings kept, the closing call is its
-      // parent's only child; dropping it frees the whole (folded) subtree.
-      HWPROF_CHECK(n->parent->children.back().get() == n);
-      n->parent->children.pop_back();
+    if (f.own) {
+      // Closed calls never accumulate further time: fold now, exactly the
+      // contribution a final tree walk would make. A placeholder is folded
+      // by Assemble once its parts are summed.
+      funcs.Fold(f.fn, net, elapsed);
     }
   }
 
@@ -308,13 +370,13 @@ class StreamingDecoder::Impl {
   // (0 = ThreadPool::DefaultJobs()), always retaining structure.
   Impl(const TagFile& names, unsigned timer_bits, std::uint64_t timer_clock_hz,
        bool retain, unsigned jobs, std::size_t shard_target_ops)
-      : names_(names), timer_(timer_bits, timer_clock_hz) {
+      : names_(names), timer_(timer_bits, timer_clock_hz), entered_(names.size()) {
     current_ = NewStack();
     if (jobs == 0) {
       jobs = ThreadPool::DefaultJobs();
     }
     if (jobs == 1) {
-      parts_.push_back(std::make_unique<Replayer>(retain, ChainSnapshot{}));
+      parts_.push_back(std::make_unique<Replayer>(names_, retain, ChainSnapshot{}));
       inline_ = parts_.back().get();
       return;
     }
@@ -537,8 +599,10 @@ class StreamingDecoder::Impl {
     }
     // A normal exit needs lookahead only when its function is not open
     // anywhere on the running stack (HandleExit's suspended-stack fallback).
-    for (const ChainFrame& frame : current_->chain) {
-      if (frame.fn == ev.entry) {
+    // Scanned innermost first: an exit usually closes the top frame.
+    const std::vector<ChainFrame>& ch = current_->chain;
+    for (auto it = ch.rbegin(); it != ch.rend(); ++it) {
+      if (it->fn == ev.entry) {
         return false;
       }
     }
@@ -656,7 +720,7 @@ class StreamingDecoder::Impl {
       return;
     }
     if (!ev.is_exit) {
-      entered_.insert(fn);
+      entered_[names_.IndexOf(fn)] = true;
       const ChainFrame frame{fn, next_node_id_++};
       Emit(OpKind::kOpen, current_, ev.t, frame);
       current_->chain.push_back(frame);
@@ -739,7 +803,7 @@ class StreamingDecoder::Impl {
   void NoteOrphanExit(const TagEntry* fn) {
     ++out_.orphan_exits;
     ++out_.orphan_exit_counts[fn->name];
-    if (entered_.count(fn) == 0) {
+    if (!entered_[names_.IndexOf(fn)]) {
       ++out_.preopen_exit_counts[fn->name];
     }
   }
@@ -809,7 +873,7 @@ class StreamingDecoder::Impl {
     ops_.clear();
     ops_.reserve(target_ + target_ / 4);
     parts_.push_back(std::make_unique<Replayer>(
-        /*retain=*/true, std::exchange(shard_start_, Snapshot())));
+        names_, /*retain=*/true, std::exchange(shard_start_, Snapshot())));
     Replayer* part = parts_.back().get();
     OBS_COUNT("parallel.shards", 1);
     OBS_COUNT("parallel.shard_ops", ops->size());
@@ -820,6 +884,7 @@ class StreamingDecoder::Impl {
         for (const Op& op : *ops) {
           part->Apply(op);
         }
+        part->SealOpenNodes();
       }
       OBS_GAUGE_ADD("parallel.queue_depth", -1);
     });
@@ -847,6 +912,7 @@ class StreamingDecoder::Impl {
       total_steps += concat ? part->steps.size() : 0;
     }
     out_.steps.reserve(total_steps);
+    FuncTable funcs(names_);
     for (const auto& part : parts_) {
       Replayer& r = *part;
       std::unordered_map<const CallNode*, CallNode*> remap;
@@ -874,6 +940,9 @@ class StreamingDecoder::Impl {
         adopt(ph.ptr, real);
       }
       for (const auto& [sid, ls] : r.stacks) {
+        if (ls.root == nullptr) {
+          continue;  // bounded replay: no structure, and nothing left open
+        }
         adopt(ls.root.get(), out_.stacks[static_cast<std::size_t>(sid)]->root.get());
         for (const Replayer::Frame& f : ls.chain) {
           if (f.own) {
@@ -892,14 +961,14 @@ class StreamingDecoder::Impl {
       } else {
         out_.steps = std::move(r.steps);
       }
-      CombineStats(r.per_function, &out_.per_function);
-      out_.idle_time += r.idle;
+      funcs.Combine(r.funcs);
     }
     // Cross-cut calls: now that their accumulators are complete, fold each
     // exactly once.
     for (const auto& [id, node] : open_across) {
-      FoldNode(*node, &out_.per_function, &out_.idle_time);
+      funcs.Fold(node->fn, node->net_acc, node->elapsed_acc);
     }
+    funcs.AddTo(&out_);
   }
 
   const TagFile& names_;
@@ -919,10 +988,9 @@ class StreamingDecoder::Impl {
   PlanStack* current_ = nullptr;
   PlanStack* pending_swtch_ = nullptr;
   std::vector<PlanStack*> suspend_order_;
-  // Functions seen entering at least once; orphan exits of anything else are
-  // preopen (the capture began inside the call). TagFile entries are unique
-  // per name, so pointer identity suffices.
-  std::unordered_set<const TagEntry*> entered_;
+  // Functions seen entering at least once, by dense id; orphan exits of
+  // anything else are preopen (the capture began inside the call).
+  std::vector<bool> entered_;
   Nanoseconds envelope_ = 0;  // host wall-clock capture duration; 0 = none
   bool finished_ = false;
   std::uint32_t next_node_id_ = 0;
@@ -951,6 +1019,8 @@ StreamingDecoder::~StreamingDecoder() = default;
 
 void RecordDecodeTelemetry(const DecodedTrace& decoded) {
   OBS_COUNT("decode.finishes", 1);
+  // 0 for a bounded decode: shows in --stats whether a run built the trees.
+  OBS_COUNT("decode.steps_retained", decoded.steps.size());
   OBS_COUNT("decode.anomaly.corrupt_words", decoded.corrupt_words);
   OBS_COUNT("decode.anomaly.impossible_deltas", decoded.impossible_deltas);
   OBS_COUNT("decode.anomaly.wrap_ambiguous_gaps", decoded.wrap_ambiguous_gaps);

@@ -210,9 +210,10 @@ class Decoder {
 struct StreamingOptions {
   // Keep the full call trees and the chronological step list (what the
   // trace/callgraph/process reports need; batch Decode() sets this). When
-  // false, each call is folded into the per-function stats and freed as it
-  // closes, so memory is bounded by stack depth plus the context-switch
-  // lookahead window — not by capture length.
+  // false, no CallNode is allocated: each call is a plain frame on its
+  // stack's chain, folded into the per-function stats as it closes, so
+  // memory is bounded by stack depth plus the context-switch lookahead
+  // window — not by capture length.
   bool retain_structure = false;
 };
 
@@ -228,7 +229,8 @@ struct StreamingOptions {
 //
 // This is the one decode engine. A single matcher makes every decision and
 // emits a flat op script (open / close / set-current / advance); a replayer
-// turns the ops into call trees, steps and per-function stats. Here each op
+// turns the ops into per-function stats (and, when retained, call trees and
+// steps) at O(1) cost per op. Here each op
 // is replayed inline as soon as it is decided; ParallelAnalyzer runs the
 // same engine with the ops cut into shards and replayed on a thread pool.
 //

@@ -158,8 +158,8 @@ bool TagFile::Merge(const TagFile& other) {
   // Validate the whole batch first so a failed merge leaves this file
   // untouched.
   for (const TagEntry& e : other.entries_) {
-    if (by_name_.count(e.name) != 0 || by_tag_.count(e.entry_tag()) != 0 ||
-        (e.IsFunctionLike() && by_tag_.count(e.exit_tag()) != 0)) {
+    if (by_name_.count(e.name) != 0 || FindByTag(e.entry_tag()) != nullptr ||
+        (e.IsFunctionLike() && FindByTag(e.exit_tag()) != nullptr)) {
       return false;
     }
   }
@@ -232,8 +232,10 @@ const TagEntry* TagFile::FindByName(std::string_view name) const {
 }
 
 const TagEntry* TagFile::FindByTag(std::uint16_t tag) const {
-  auto it = by_tag_.find(tag);
-  return it == by_tag_.end() ? nullptr : &entries_[it->second];
+  if (tag >= by_tag_.size() || by_tag_[tag] == kNoEntry) {
+    return nullptr;
+  }
+  return &entries_[by_tag_[tag]];
 }
 
 std::uint16_t TagFile::HighestTag() const {
@@ -250,10 +252,6 @@ std::uint16_t TagFile::HighestTag() const {
 bool TagFile::Insert(TagEntry entry) { return Insert(std::move(entry), nullptr); }
 
 bool TagFile::Insert(TagEntry entry, std::string* why) {
-  auto collision = [&](std::uint16_t raw) -> const TagEntry* {
-    auto it = by_tag_.find(raw);
-    return it == by_tag_.end() ? nullptr : &entries_[it->second];
-  };
   if (by_name_.count(entry.name) != 0) {
     if (why != nullptr) {
       *why = StrFormat("duplicate name '%s' (already tagged %u)", entry.name.c_str(),
@@ -261,7 +259,7 @@ bool TagFile::Insert(TagEntry entry, std::string* why) {
     }
     return false;
   }
-  if (const TagEntry* prior = collision(entry.entry_tag())) {
+  if (const TagEntry* prior = FindByTag(entry.entry_tag())) {
     if (why != nullptr) {
       *why = StrFormat("tag %u already covered by '%s/%u'%s", entry.entry_tag(),
                        prior->name.c_str(), prior->tag,
@@ -272,7 +270,7 @@ bool TagFile::Insert(TagEntry entry, std::string* why) {
     return false;
   }
   if (entry.IsFunctionLike()) {
-    if (const TagEntry* prior = collision(entry.exit_tag())) {
+    if (const TagEntry* prior = FindByTag(entry.exit_tag())) {
       if (why != nullptr) {
         *why = StrFormat("exit tag %u of '%s/%u' already covered by '%s/%u'",
                          entry.exit_tag(), entry.name.c_str(), entry.tag,
@@ -281,12 +279,14 @@ bool TagFile::Insert(TagEntry entry, std::string* why) {
       return false;
     }
   }
-  const std::size_t index = entries_.size();
+  const auto index = static_cast<std::uint32_t>(entries_.size());
   by_name_.emplace(entry.name, index);
-  by_tag_.emplace(entry.entry_tag(), index);
-  if (entry.IsFunctionLike()) {
-    by_tag_.emplace(entry.exit_tag(), index);
+  const std::uint16_t top = entry.IsFunctionLike() ? entry.exit_tag() : entry.tag;
+  if (top >= by_tag_.size()) {
+    by_tag_.resize(std::size_t{top} + 1, kNoEntry);
   }
+  by_tag_[entry.entry_tag()] = index;
+  by_tag_[top] = index;
   entries_.push_back(std::move(entry));
   return true;
 }

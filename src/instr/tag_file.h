@@ -114,6 +114,10 @@ class TagFile {
   const TagEntry* FindByTag(std::uint16_t tag) const;
 
   const std::vector<TagEntry>& entries() const { return entries_; }
+  // Dense id of one of this file's entries: its index in entries().
+  std::size_t IndexOf(const TagEntry* entry) const {
+    return static_cast<std::size_t>(entry - entries_.data());
+  }
   std::size_t size() const { return entries_.size(); }
 
   // Highest raw tag value in use (exit tags included); 0 if empty.
@@ -126,7 +130,10 @@ class TagFile {
 
   std::vector<TagEntry> entries_;
   std::unordered_map<std::string, std::size_t> by_name_;
-  std::unordered_map<std::uint16_t, std::size_t> by_tag_;  // one key per raw tag covered
+  // Dense raw tag -> entry index (kNoEntry where uncovered), sized to the
+  // highest covered tag + 1: the decoder looks up every event here.
+  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> by_tag_;
 };
 
 }  // namespace hwprof

@@ -52,6 +52,30 @@ TEST(TagFile, FindByTagCoversEntryAndExit) {
   EXPECT_EQ(file.FindByTag(104), nullptr);
 }
 
+TEST(TagFile, FindByTagIsNullOutsideTheCoveredTags) {
+  TagFile file;
+  ASSERT_TRUE(TagFile::Parse("low/10\nMARK/15=\nhigh/40\n", &file));
+  EXPECT_EQ(file.FindByTag(0), nullptr);
+  EXPECT_EQ(file.FindByTag(9), nullptr);
+  EXPECT_EQ(file.FindByTag(12), nullptr);  // between entries
+  EXPECT_EQ(file.FindByTag(14), nullptr);
+  EXPECT_EQ(file.FindByTag(16), nullptr);
+  EXPECT_EQ(file.FindByTag(42), nullptr);  // just above the highest exit tag
+  EXPECT_EQ(file.FindByTag(1000), nullptr);
+  EXPECT_EQ(file.FindByTag(65535), nullptr);
+  // Exit tags resolve to their entry; the inline covers only its value.
+  EXPECT_EQ(file.FindByTag(11), file.FindByName("low"));
+  EXPECT_EQ(file.FindByTag(41), file.FindByName("high"));
+  EXPECT_EQ(file.FindByTag(15), file.FindByName("MARK"));
+  EXPECT_EQ(file.IndexOf(file.FindByTag(41)), 2u);
+
+  // The top of the tag space is coverable too.
+  TagFile top;
+  ASSERT_TRUE(TagFile::Parse("last/65534\n", &top));
+  EXPECT_EQ(top.FindByTag(65535), top.FindByName("last"));
+  EXPECT_EQ(top.FindByTag(65533), nullptr);
+}
+
 TEST(TagFile, InlineTagsCoverOnlyTheirValue) {
   TagFile file;
   ASSERT_TRUE(TagFile::Parse("MARK/111=\n", &file));
@@ -109,6 +133,27 @@ TEST(TagFile, ParseReportsLineAndReasonForEveryProblem) {
   EXPECT_NE(diags[3].message.find("not a non-negative integer"), std::string::npos);
   EXPECT_EQ(diags[4].line, 6);
   EXPECT_NE(diags[4].message.find("missing '/'"), std::string::npos);
+}
+
+TEST(TagFile, CollisionMessagesNameThePriorEntry) {
+  const char* text =
+      "foo/100\n"
+      "MARK/105=\n"
+      "entry_on_entry/100\n"  // entry tag is foo's entry tag
+      "M2/101=\n"             // inline on foo's exit tag
+      "exit_on_inline/104\n"  // exit tag 105 is MARK's
+      "ok/200\n";
+  TagFile file;
+  std::vector<TagDiag> diags;
+  EXPECT_FALSE(TagFile::Parse(text, &file, &diags));
+  ASSERT_EQ(diags.size(), 3u);
+  EXPECT_EQ(diags[0].line, 3);
+  EXPECT_EQ(diags[0].message, "tag 100 already covered by 'foo/100'");
+  EXPECT_EQ(diags[1].line, 4);
+  EXPECT_EQ(diags[1].message, "tag 101 already covered by 'foo/100' (its exit tag)");
+  EXPECT_EQ(diags[2].line, 5);
+  EXPECT_EQ(diags[2].message,
+            "exit tag 105 of 'exit_on_inline/104' already covered by 'MARK/105'");
 }
 
 TEST(TagFile, ParseWithDiagsLeavesOutputUntouchedOnFailure) {
@@ -214,6 +259,26 @@ TEST(TagFile, MergeRejectsCollisionsAtomically) {
   ASSERT_TRUE(TagFile::Parse("ok/200\nfoo/300\n", &b));
   EXPECT_FALSE(a.Merge(b));
   EXPECT_EQ(a.size(), 1u);  // nothing from b leaked in
+  EXPECT_EQ(a.FindByTag(200), nullptr);
+  EXPECT_EQ(a.FindByTag(201), nullptr);
+  EXPECT_EQ(a.FindByName("ok"), nullptr);
+
+  // Tag collisions (an entry tag, or an exit tag landing on an inline) fail
+  // the same way, and the lookup table stays as it was.
+  TagFile c;
+  ASSERT_TRUE(TagFile::Parse("fresh/300\nclash/100\n", &c));
+  EXPECT_FALSE(a.Merge(c));
+  TagFile d;
+  ASSERT_TRUE(TagFile::Parse("MARK/501=\n", &d));
+  TagFile e;
+  ASSERT_TRUE(TagFile::Parse("exit_clash/500\n", &e));
+  ASSERT_TRUE(a.Merge(d));
+  EXPECT_FALSE(a.Merge(e));
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.FindByTag(300), nullptr);
+  EXPECT_EQ(a.FindByTag(500), nullptr);
+  EXPECT_EQ(a.FindByTag(101), a.FindByName("foo"));
+  EXPECT_EQ(a.FindByTag(501), a.FindByName("MARK"));
 }
 
 // --- Instrumenter ---------------------------------------------------------------------

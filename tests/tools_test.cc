@@ -4,10 +4,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
 #include "src/base/strings.h"
+#include "src/obs/telemetry.h"
 #include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
@@ -367,6 +369,56 @@ TEST(AnalyzeCli, StatsJsonEmitsTheTelemetryObject) {
   EXPECT_NE(out.find("\"kind\":\"counter\""), std::string::npos) << out;
 }
 
+// The value of one telemetry metric (a counter's count, a histogram's
+// sample count); nullopt if nothing ever registered it.
+std::optional<std::uint64_t> MetricCount(const std::string& name) {
+  for (const obs::MetricValue& m : obs::GlobalSnapshot().metrics) {
+    if (m.name == name) {
+      return m.count;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(AnalyzeCli, StatsOnlyReportsDecodeBoundedInlineAtAnyJobs) {
+  const CliFiles files = WriteSessionFiles();
+  std::string error;
+  obs::ResetTelemetry();
+  ::testing::internal::CaptureStdout();
+  const int rc = RunCli({files.capture.c_str(), files.names.c_str(), "--jobs", "2", "--json",
+                         "--stats"},
+                        &error);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0) << error;
+  EXPECT_NE(out.find("decode.finish "), std::string::npos) << out;
+  EXPECT_EQ(MetricCount("decode.finish"), 1u);
+  // Every parallel.* metric another test registered stays at zero.
+  for (const std::string_view line : SplitLines(out)) {
+    if (line.find("parallel.") != std::string_view::npos) {
+      EXPECT_TRUE(EndsWith(line, " 0") || EndsWith(line, " n=0") ||
+                  EndsWith(line, " 0 (peak 0)"))
+          << line;
+    }
+  }
+  EXPECT_EQ(MetricCount("decode.steps_retained"), 0u) << "the stats-only decode built trees";
+}
+
+TEST(AnalyzeCli, StructureReportsStillShardAtJobs) {
+  const CliFiles files = WriteSessionFiles();
+  std::string error;
+  obs::ResetTelemetry();
+  ::testing::internal::CaptureStdout();
+  const int rc = RunCli({files.capture.c_str(), files.names.c_str(), "--jobs", "2",
+                         "--callgraph", "5", "--stats"},
+                        &error);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0) << error;
+  EXPECT_NE(out.find("parallel.finish "), std::string::npos) << out;
+  EXPECT_EQ(MetricCount("parallel.finish"), 1u);
+  EXPECT_GE(MetricCount("parallel.shards").value_or(0), 1u);
+  EXPECT_GT(MetricCount("decode.steps_retained").value_or(0), 0u);
+}
+
 TEST(AnalyzeCli, FollowProgressEmitsAHeartbeatPerChunk) {
   const std::string stream = ::testing::TempDir() + "/cli_progress.hwstream";
   const std::string names_path = ::testing::TempDir() + "/cli_progress.names";
@@ -579,6 +631,56 @@ TEST(LintCli, TraceReadsAStreamFile) {
       {"--tags", names.c_str(), "--trace", stream.c_str(), source.c_str()}, &error);
   EXPECT_NE(rc, 2) << error;
   EXPECT_TRUE(error.empty()) << error;
+}
+
+TEST(LintCli, TraceCrossCheckDecodesBoundedWithUnchangedFindings) {
+  const std::string source = WriteTempFile("lint_golden.cc", "void Plain() {}\n");
+  const std::string golden = std::string(HWPROF_TEST_DIR) + "/golden/";
+  const std::string names = golden + "net_receive.names";
+  for (const char* capture : {"net_receive.capture", "net_receive.capture.bin"}) {
+    const std::string trace = golden + capture;
+    const char* argv[] = {"hwprof_lint", "--tags", names.c_str(), "--trace", trace.c_str(),
+                          "--json", "--all", source.c_str()};
+    std::string error;
+    obs::ResetTelemetry();
+    ::testing::internal::CaptureStdout();
+    const int rc = LintMain(8, argv, &error);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 1) << error;
+    // The golden trace is clean, so the only finding is the names file's
+    // unregistered context-switch marker.
+    EXPECT_EQ(out,
+              "{\n  \"findings\": [\n    {\"rule\": \"tag-ctx\", \"file\": \"" + names +
+                  "\", \"line\": 19, \"message\": \"'swtch' carries the '!' context-switch "
+                  "marker but no analyzed source registers it as a context-switch function\", "
+                  "\"note\": \"\", \"suppressed\": false, \"suppress_reason\": \"\"}\n  ],\n"
+                  "  \"total\": 1,\n  \"unsuppressed\": 1\n}\n")
+        << capture;
+    EXPECT_EQ(MetricCount("decode.finish"), 1u) << capture;
+    EXPECT_EQ(MetricCount("decode.steps_retained"), 0u) << capture;
+  }
+
+  // A damaged trace (an orphan exit, a force-closed entry, an unknown tag)
+  // still yields its trace findings.
+  const std::string small_names = WriteTempFile("lint_anomaly.names", "a/100\nb/102\n");
+  const std::string stream = ::testing::TempDir() + "/lint_anomaly.hwstream";
+  ASSERT_TRUE(SaveStreamHeader(stream, 24, 1'000'000));
+  TraceChunk chunk;
+  chunk.events = {{102, 0}, {103, 3}, {103, 5}, {100, 10}, {999, 20}, {102, 30}, {101, 40}};
+  ASSERT_TRUE(AppendStreamChunk(stream, chunk));
+  const char* argv[] = {"hwprof_lint", "--tags", small_names.c_str(), "--trace",
+                        stream.c_str(), "--all", source.c_str()};
+  std::string error;
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(LintMain(7, argv, &error), 1) << error;
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            "<trace>:0: [trace-orphan-exit] 'b' emitted 1 exit with no matching entry in the "
+            "trace ('b' has no registration in the static model)\n"
+            "<trace>:0: [trace-unclosed-entry] 'b' left 1 entry never closed by an exit in "
+            "the trace ('b' has no registration in the static model)\n"
+            "<trace>:0: [trace-unknown-tag] trace carries tag 999 (1 event) with no "
+            "names-file entry\n"
+            "hwprof_lint: 1 file, 3 findings (3 unsuppressed)\n");
 }
 
 TEST(LintCli, BadNamesFileReportsPathAndLine) {

@@ -64,20 +64,25 @@ std::string DumpMap(const Map& m) {
   return out;
 }
 
-// Everything a decode without retained structure must still get right: the
-// summary, every per-function stat, idle time and every anomaly counter.
-inline std::string StatsFingerprint(const DecodedTrace& d) {
-  std::string out = Summary(d).Format(0);
+// Per-function stats and idle time only.
+inline std::string FunctionsFingerprint(const DecodedTrace& d) {
+  std::string out = "idle=" + std::to_string(d.idle_time);
   for (const auto& [name, f] : d.per_function) {
     out += "\n" + name + ":" + std::to_string(f.calls) + "/" + std::to_string(f.net) +
            "/" + std::to_string(f.elapsed) + "/" + std::to_string(f.min_net) + "/" +
            std::to_string(f.max_net) + "/" + std::to_string(f.context_switch);
   }
+  return out;
+}
+
+// Everything a decode without retained structure must still get right: the
+// summary, every per-function stat, idle time and every anomaly counter.
+inline std::string StatsFingerprint(const DecodedTrace& d) {
+  std::string out = Summary(d).Format(0) + "\n" + FunctionsFingerprint(d);
   out += "\n|events=" + std::to_string(d.event_count);
   out += "|truncated=" + std::to_string(d.truncated);
   out += "|start=" + std::to_string(d.start_time);
   out += "|end=" + std::to_string(d.end_time);
-  out += "|idle=" + std::to_string(d.idle_time);
   out += "|stacks=" + std::to_string(d.stacks.size());
   out += "|unknown=" + std::to_string(d.unknown_tags) + DumpMap(d.unknown_tag_counts);
   out += "|orphan=" + std::to_string(d.orphan_exits) + DumpMap(d.orphan_exit_counts);
@@ -156,32 +161,42 @@ inline RawTrace FuzzTrace(std::uint64_t seed, int length) {
   return raw;
 }
 
-// Feeds `raw` to `engine` the way a capture arrives in practice, then
-// finishes: with `split_seed` 0 as one structure-of-arrays column pair (the
+// Feeds `raw` to every one of `engines` the way a capture arrives in
+// practice: with `split_seed` 0 as one structure-of-arrays column pair (the
 // binary container's path), otherwise in seeded random slices that alternate
-// between the RawEvent and structure-of-arrays entry points.
-template <typename Engine>
-DecodedTrace FeedShaped(Engine& engine, const RawTrace& raw, std::uint64_t split_seed) {
+// between the RawEvent and structure-of-arrays entry points. Calls
+// `after_slice(n)` once every engine has been fed each slice, with `n` the
+// events fed so far.
+template <typename AfterSlice, typename... Engines>
+void FeedSlices(const RawTrace& raw, std::uint64_t split_seed, AfterSlice after_slice,
+                Engines&... engines) {
   std::vector<std::uint16_t> tags;
   std::vector<std::uint32_t> timestamps;
   for (const RawEvent& e : raw.events) {
     tags.push_back(e.tag);
     timestamps.push_back(e.timestamp);
   }
-  engine.NoteDropped(raw.dropped_events);
-  engine.SetClockEnvelope(raw.capture_elapsed_ns);
+  (engines.NoteDropped(raw.dropped_events), ...);
+  (engines.SetClockEnvelope(raw.capture_elapsed_ns), ...);
   Rng rng(split_seed);
   const std::size_t n = raw.events.size();
   for (std::size_t at = 0; at < n;) {
     const std::size_t len =
         split_seed == 0 ? n : std::min(n - at, std::size_t{1} + rng.NextBelow(97));
     if (split_seed == 0 || rng.NextBool(0.5)) {
-      engine.FeedSoA(tags.data() + at, timestamps.data() + at, len);
+      (engines.FeedSoA(tags.data() + at, timestamps.data() + at, len), ...);
     } else {
-      engine.Feed(raw.events.data() + at, len);
+      (engines.Feed(raw.events.data() + at, len), ...);
     }
     at += len;
+    after_slice(at);
   }
+}
+
+// FeedSlices for one engine, then Finish.
+template <typename Engine>
+DecodedTrace FeedShaped(Engine& engine, const RawTrace& raw, std::uint64_t split_seed) {
+  FeedSlices(raw, split_seed, [](std::size_t) {}, engine);
   return engine.Finish(raw.overflowed);
 }
 
@@ -191,7 +206,12 @@ DecodedTrace FeedShaped(Engine& engine, const RawTrace& raw, std::uint64_t split
 //  * inline and sharded replay fed one SoA column pair, or a seeded random
 //    mix of RawEvent and SoA slices, with and without timer glitches;
 //  * the bounded-memory decode (retain_structure=false), on everything it
-//    keeps: per-function stats, idle time and the anomaly counters.
+//    keeps: per-function stats, idle time and the anomaly counters;
+//  * the running stats snapshot: after every fed slice, the bounded
+//    decoder's SnapshotStats (open calls with their time to date) must match
+//    the retaining inline decoder's and, whenever nothing awaits lookahead,
+//    carry the per-function stats of a batch decode of the prefix fed so far
+//    (which closes the open calls at the last event).
 inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& names,
                                         const std::string& what,
                                         std::uint64_t split_seed = 1) {
@@ -220,16 +240,41 @@ inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& name
     for (const std::uint64_t seed : {std::uint64_t{0}, split_seed}) {
       StreamingDecoder inline_replay(names, trace->timer_bits, trace->timer_clock_hz,
                                      StreamingOptions{.retain_structure = true});
-      ASSERT_EQ(Fingerprint(FeedShaped(inline_replay, *trace, seed)), reference)
+      StreamingDecoder bounded(names, trace->timer_bits, trace->timer_clock_hz,
+                               StreamingOptions{.retain_structure = false});
+      std::size_t slice = 0;
+      std::string first_mismatch;
+      FeedSlices(
+          *trace, seed,
+          [&](std::size_t fed) {
+            const DecodedTrace snap = bounded.SnapshotStats();
+            const std::string folded = StatsFingerprint(snap);
+            const std::string retained = StatsFingerprint(inline_replay.SnapshotStats());
+            if (folded != retained && first_mismatch.empty()) {
+              first_mismatch = "slice " + std::to_string(slice) + ":\n" + folded +
+                               "\nretaining:\n" + retained;
+            }
+            if (bounded.pending() == 0 && first_mismatch.empty()) {
+              RawTrace prefix = *trace;
+              prefix.events.resize(fed);
+              const std::string want = FunctionsFingerprint(Decoder::Decode(prefix, names));
+              if (FunctionsFingerprint(snap) != want) {
+                first_mismatch = "slice " + std::to_string(slice) + ":\n" +
+                                 FunctionsFingerprint(snap) + "\nprefix decode:\n" + want;
+              }
+            }
+            ++slice;
+          },
+          inline_replay, bounded);
+      ASSERT_EQ(first_mismatch, "") << label << " SnapshotStats, split seed " << seed;
+      ASSERT_EQ(Fingerprint(inline_replay.Finish(trace->overflowed)), reference)
           << label << " inline replay, split seed " << seed;
+      ASSERT_EQ(StatsFingerprint(bounded.Finish(trace->overflowed)), StatsFingerprint(batch))
+          << label << " retain_structure=false, split seed " << seed;
       ParallelAnalyzer sharded(names, trace->timer_bits, trace->timer_clock_hz,
                                ParallelOptions{.jobs = 3, .shard_target_ops = 16});
       ASSERT_EQ(Fingerprint(FeedShaped(sharded, *trace, seed)), reference)
           << label << " sharded replay, split seed " << seed;
-      StreamingDecoder bounded(names, trace->timer_bits, trace->timer_clock_hz,
-                               StreamingOptions{.retain_structure = false});
-      ASSERT_EQ(StatsFingerprint(FeedShaped(bounded, *trace, seed)), StatsFingerprint(batch))
-          << label << " retain_structure=false, split seed " << seed;
     }
   }
 }

@@ -230,10 +230,11 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
             static_cast<unsigned long long>(engine.dropped_events()));
         if constexpr (kInline) {
           std::printf("%zu awaiting lookahead\n", engine.pending());
+          const DecodedTrace so_far = engine.SnapshotStats();
           if (progress) {
-            heartbeat(engine.events_seen(), engine.SnapshotStats().AnomalyTotal());
+            heartbeat(engine.events_seen(), so_far.AnomalyTotal());
           }
-          std::printf("%s\n", Summary(engine.SnapshotStats()).Format(rows).c_str());
+          std::printf("%s\n", Summary(so_far).Format(rows).c_str());
         } else {
           std::printf("%zu shards in flight\n", engine.shards_planned());
           if (progress) {
@@ -342,7 +343,8 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
   auto decode = [&](const std::string& path, DecodedTrace* decoded) {
     MappedFile file;
     return OpenCapture(path, &file, error) &&
-           DecodeCapture(path, file.view(), names, jobs, salvage, stdout, decoded, error);
+           DecodeCapture(path, file.view(), names, DecodeNeeds::kStructure, jobs, salvage,
+                         stdout, decoded, error);
   };
   DecodedTrace baseline;
   DecodedTrace candidate;
@@ -391,12 +393,17 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     }
   }
 
-  // `--jobs` and `--salvage` are resolved before decoding; the remaining
-  // options are consumed by the report loop below. `--jobs 1` replays the
-  // decode inline; any other value shards the replay across a worker pool
-  // (0 = hardware concurrency) with byte-identical output.
+  // `--jobs`, `--salvage` and what the reports read are resolved before
+  // decoding; the options are consumed by the report loop below. When every
+  // report is stats-only the decode is bounded inline replay whatever
+  // `--jobs` says. Reports that read the call trees or steps decode with
+  // structure: `--jobs 1` replays inline, any other value shards the replay
+  // across a worker pool (0 = hardware concurrency) with byte-identical
+  // output. A histogram function named like one of those options only costs
+  // a structured decode; the output is the same.
   unsigned jobs = 0;
   bool salvage = false;
+  DecodeNeeds needs = DecodeNeeds::kStats;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
@@ -406,6 +413,9 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
       }
     } else if (arg == "--salvage") {
       salvage = true;
+    } else if (arg == "--trace" || arg == "--callgraph" || arg == "--histogram" ||
+               arg == "--processes") {
+      needs = DecodeNeeds::kStructure;
     }
   }
 
@@ -420,7 +430,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
       *error = names_error;
       return 1;
     }
-    if (!DecodeCapture(argv[1], file.view(), names, jobs, salvage, stdout, &decoded,
+    if (!DecodeCapture(argv[1], file.view(), names, needs, jobs, salvage, stdout, &decoded,
                        error)) {
       return 1;
     }

@@ -78,8 +78,9 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
   }
   OBS_SPAN_BEGIN(decode);
   DecodedTrace decoded;
-  const bool decoded_ok = DecodeCapture(capture_path, file.view(), names, jobs, salvage,
-                                        stderr, &decoded, error);
+  const bool decoded_ok = DecodeCapture(capture_path, file.view(), names,
+                                        DecodeNeeds::kStructure, jobs, salvage, stderr,
+                                        &decoded, error);
   OBS_SPAN_END(decode, "export.decode");
   if (!decoded_ok) {
     return 1;

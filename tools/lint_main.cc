@@ -102,8 +102,8 @@ int LintMain(int argc, const char* const* argv, std::string* error) {
     MappedFile file;
     DecodedTrace trace;
     if (!LoadNamesFile(tags_path, &names, error) || !OpenCapture(trace_path, &file, error) ||
-        !DecodeCapture(trace_path, file.view(), names, /*jobs=*/1, /*salvage=*/false, stderr,
-                       &trace, error)) {
+        !DecodeCapture(trace_path, file.view(), names, DecodeNeeds::kStats, /*jobs=*/1,
+                       /*salvage=*/false, stderr, &trace, error)) {
       return 2;
     }
     lint::CrossCheckTrace(trace, names, result.model, &result.findings);

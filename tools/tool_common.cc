@@ -56,7 +56,7 @@ bool OpenCapture(const std::string& path, MappedFile* file, std::string* error) 
 }
 
 bool DecodeCapture(const std::string& path, std::string_view bytes,
-                   const TagFile& names, unsigned jobs, bool salvage,
+                   const TagFile& names, DecodeNeeds needs, unsigned jobs, bool salvage,
                    std::FILE* warnings, DecodedTrace* decoded, std::string* error) {
   CaptureReader reader(bytes, salvage);
   auto fail = [&] {
@@ -67,9 +67,15 @@ bool DecodeCapture(const std::string& path, std::string_view bytes,
   if (reader.failed()) {
     return fail();
   }
-  *decoded = ParallelAnalyzer(names, reader.timer_bits(), reader.timer_clock_hz(),
-                              ParallelOptions{.jobs = jobs})
-                 .DecodeAll(reader);
+  if (needs == DecodeNeeds::kStats) {
+    *decoded = StreamingDecoder(names, reader.timer_bits(), reader.timer_clock_hz(),
+                                StreamingOptions{.retain_structure = false})
+                   .DecodeAll(reader);
+  } else {
+    *decoded = ParallelAnalyzer(names, reader.timer_bits(), reader.timer_clock_hz(),
+                                ParallelOptions{.jobs = jobs})
+                   .DecodeAll(reader);
+  }
   if (reader.failed()) {
     return fail();
   }
