@@ -1,8 +1,9 @@
-// Golden-file tests for the paper's two headline reports: the Figure 3
-// summary and the Figure 4 code-path trace, rendered from a fixed,
-// deterministic network-receive capture (the simulator is bit-exact across
-// runs, see determinism_test). Any change to capture, decode or formatting
-// shows up as a readable diff against tests/golden/.
+// Golden-file tests for the paper's two headline reports (the Figure 3
+// summary and the Figure 4 code-path trace) and for the structure reports
+// (call graph, processes, histogram), rendered from fixed, deterministic
+// captures (the simulator is bit-exact across runs, see determinism_test).
+// Any change to capture, decode or formatting shows up as a readable diff
+// against tests/golden/.
 //
 // To regenerate after an intentional change:
 //   HWPROF_REGEN_GOLDEN=1 ./build/tests/golden_test
@@ -12,15 +13,21 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
+#include "src/base/assert.h"
 #include "src/profhw/binary_trace.h"
+#include "src/profhw/fault_injection.h"
+#include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
+#include "tools/analyze_main.h"
 #include "tools/convert_main.h"
 
 namespace hwprof {
@@ -172,6 +179,91 @@ TEST(Golden, BinaryNetReceiveCaptureIsTheTextGoldensTwin) {
   ASSERT_TRUE(ReadFile(converted, &converted_bytes));
   EXPECT_EQ(converted_bytes, bin)
       << "hwprof_convert of the text golden drifted from the binary golden";
+}
+
+// The structure reports through the tool, on the committed net_receive
+// capture and on a damaged copy of it. The damage (dropped, duplicated and
+// bit-flipped words, timer glitches, a cut-off tail) makes the decoder
+// force-close calls mid-trace, close the in-flight stack at the truncation,
+// count orphan exits and unknown tags, so every close path a report can see
+// is pinned.
+std::string AnalyzeReport(const std::string& capture,
+                          std::initializer_list<const char*> report) {
+  const std::string names = GoldenPath("net_receive.names");
+  std::vector<const char*> argv{"hwprof_analyze", capture.c_str(), names.c_str()};
+  argv.insert(argv.end(), report.begin(), report.end());
+  std::string error;
+  ::testing::internal::CaptureStdout();
+  const int rc = AnalyzeMain(static_cast<int>(argv.size()), argv.data(), &error);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0) << error;
+  return out;
+}
+
+const std::string& DamagedCapturePath() {
+  static const std::string* path = [] {
+    std::string text;
+    HWPROF_CHECK(ReadFile(GoldenPath("net_receive.capture"), &text));
+    RawTrace clean;
+    HWPROF_CHECK(RawTrace::Deserialize(text, &clean));
+    FaultPlan plan;
+    plan.seed = 17;
+    plan.word_bitflip_rate = 0.002;
+    plan.drop_rate = 0.01;
+    plan.duplicate_rate = 0.004;
+    plan.timer_glitch_rate = 0.002;
+    plan.truncate_probability = 1.0;
+    auto* out = new std::string(::testing::TempDir() + "/net_receive_damaged.capture");
+    HWPROF_CHECK(SaveCapture(InjectFaults(clean, plan), *out));
+    return out;
+  }();
+  return *path;
+}
+
+TEST(Golden, DamagedCaptureCoversEveryClosePath) {
+  std::string text;
+  ASSERT_TRUE(ReadFile(DamagedCapturePath(), &text));
+  RawTrace raw;
+  ASSERT_TRUE(RawTrace::Deserialize(text, &raw));
+  std::string names_text;
+  ASSERT_TRUE(ReadFile(GoldenPath("net_receive.names"), &names_text));
+  TagFile names;
+  ASSERT_TRUE(TagFile::Parse(names_text, &names));
+  const DecodedTrace d = Decoder::Decode(raw, names);
+  EXPECT_TRUE(d.truncated);
+  EXPECT_GT(d.MidTraceUnclosedEntries(), 0u) << "no forced close";
+  EXPECT_GT(d.TruncationClosedEntries(), 0u) << "no truncation close";
+  EXPECT_GT(d.orphan_exits, 0u);
+  EXPECT_GT(d.unknown_tags, 0u);
+}
+
+TEST(Golden, CallGraphOfTheNetworkReceive) {
+  CheckGolden("net_receive_callgraph.txt",
+              AnalyzeReport(GoldenPath("net_receive.capture"), {"--callgraph", "10"}));
+}
+
+TEST(Golden, ProcessesOfTheNetworkReceive) {
+  CheckGolden("net_receive_processes.txt",
+              AnalyzeReport(GoldenPath("net_receive.capture"), {"--processes"}));
+}
+
+TEST(Golden, BcopyHistogramOfTheNetworkReceive) {
+  CheckGolden("net_receive_histogram_bcopy.txt",
+              AnalyzeReport(GoldenPath("net_receive.capture"), {"--histogram", "bcopy"}));
+}
+
+TEST(Golden, CallGraphOfTheDamagedCapture) {
+  CheckGolden("damaged_callgraph.txt",
+              AnalyzeReport(DamagedCapturePath(), {"--callgraph", "10"}));
+}
+
+TEST(Golden, ProcessesOfTheDamagedCapture) {
+  CheckGolden("damaged_processes.txt", AnalyzeReport(DamagedCapturePath(), {"--processes"}));
+}
+
+TEST(Golden, BcopyHistogramOfTheDamagedCapture) {
+  CheckGolden("damaged_histogram_bcopy.txt",
+              AnalyzeReport(DamagedCapturePath(), {"--histogram", "bcopy"}));
 }
 
 }  // namespace
