@@ -30,15 +30,14 @@ void BM_Fig4CodePath(benchmark::State& state) {
     std::size_t start = 0;
     for (std::size_t i = 0; i < d.steps.size(); ++i) {
       const TraceStep& step = d.steps[i];
-      if (!step.is_exit && step.node->fn != nullptr && step.node->fn->name == "weintr") {
+      if (!step.is_exit && step.fn->name == "weintr") {
         start = i > 2 ? i - 2 : 0;
         break;
       }
     }
-    DecodedTrace slice;  // reuse the formatter on a sub-range
     TraceReportOptions opts;
     opts.max_lines = 70;
-    // Print from `start` by temporarily narrowing steps.
+    // Print from `start` by reusing the formatter on a sub-range of steps.
     DecodedTrace view;
     view.start_time = d.start_time;
     view.end_time = d.end_time;
@@ -56,7 +55,6 @@ void BM_Fig4CodePath(benchmark::State& state) {
     PaperRowF("splx per call", 3.5, avg_net("splx"), "us");
     PaperRowF("weintr net per call", 50.0, avg_net("weintr"), "us");
     state.counters["steps"] = static_cast<double>(d.steps.size());
-    (void)slice;
   }
 }
 BENCHMARK(BM_Fig4CodePath)->Iterations(1)->Unit(benchmark::kMillisecond);

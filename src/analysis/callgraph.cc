@@ -14,9 +14,6 @@ CallGraph::CallGraph(const DecodedTrace& trace) {
 
 void CallGraph::Walk(const CallNode& node, const std::string& caller) {
   for (const auto& child : node.children) {
-    if (child->fn == nullptr || child->inline_marker) {
-      continue;
-    }
     const std::pair<std::string, std::string> key{caller, child->fn->name};
     auto it = index_.find(key);
     if (it == index_.end()) {
@@ -24,8 +21,8 @@ void CallGraph::Walk(const CallNode& node, const std::string& caller) {
       edges_.push_back(CallEdge{caller, child->fn->name, 0, 0});
     }
     CallEdge& edge = edges_[it->second];
-    ++edge.calls;
-    edge.callee_elapsed += child->Elapsed();
+    edge.calls += child->calls;
+    edge.callee_elapsed += child->elapsed;
     Walk(*child, child->fn->name);
   }
 }

@@ -1,4 +1,4 @@
-// Caller/callee aggregation over decoded call trees — the "other ways to
+// Caller/callee aggregation over the decoded calling-context trees — the "other ways to
 // process the data" the paper's future-work section anticipates. The code
 // path trace already shows *individual* call nesting; this rolls it up into
 // a gprof-style graph: who calls whom, how often, and how much of each

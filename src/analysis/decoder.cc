@@ -1,11 +1,11 @@
 #include "src/analysis/decoder.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <limits>
 #include <utility>
 
 #include "src/base/assert.h"
-#include "src/base/thread_pool.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/capture_reader.h"
 #include "src/profhw/usec_timer.h"
@@ -19,8 +19,11 @@ namespace {
 // lookahead.
 constexpr std::size_t kCompactThreshold = 4096;
 
+// A frame whose entry step was not kept.
+constexpr std::size_t kNoStep = std::numeric_limits<std::size_t>::max();
+
 // Adds `s` into `d`. Sums and min/max commute, so per-function stats may be
-// folded and combined in any order.
+// folded in any order.
 void CombineStats(const FuncStats& s, FuncStats* d) {
   if (d->calls == 0) {
     *d = s;
@@ -57,15 +60,6 @@ class FuncTable {
     }
   }
 
-  void Combine(const FuncTable& part) {
-    for (std::size_t id = 0; id < by_id_.size(); ++id) {
-      if (part.by_id_[id].calls != 0) {
-        CombineStats(part.by_id_[id], &by_id_[id]);
-      }
-    }
-    idle_ += part.idle_;
-  }
-
   // Adds every function folded so far to `into`'s per-function stats and
   // idle time.
   void AddTo(DecodedTrace* into) const {
@@ -83,277 +77,29 @@ class FuncTable {
   Nanoseconds idle_ = 0;
 };
 
-// --- The op script -----------------------------------------------------------
-// The matcher's decisions, one op per structural effect. Replay is a
-// straight loop with no matching logic.
-
-enum OpFlags : std::uint8_t {
-  kOpForced = 1,       // close was a mismatch-recovery force-close
-  kOpCtxSwitchIn = 2,  // this close resumes a different context
-};
-
-enum class OpKind : std::uint8_t {
-  kOpen,         // push a call frame on the current stack
-  kOpenInline,   // single-event marker node under the current stack's top
-  kClose,        // pop `stack`'s innermost frame (emits a step)
-  kFinishClose,  // end-of-trace truncation close (no step, no charge)
-  kSetCurrent,   // interval attribution switches to `stack`
-  kAdvance,      // no structural effect; advances the attribution clock
-};
-
-struct Op {
-  Nanoseconds t = 0;
-  const TagEntry* fn = nullptr;
-  std::uint32_t node = 0;  // global node id (stable across shards)
-  std::int32_t stack = 0;
-  OpKind kind = OpKind::kAdvance;
-  std::uint8_t flags = 0;
-};
-
-// One open call frame, as the matcher tracks it.
-struct ChainFrame {
-  const TagEntry* fn = nullptr;
-  std::uint32_t node = 0;
-};
-
-// The matcher state a replay starts from. Chains are stored sparsely: only
-// stacks with open frames appear, so snapshot cost scales with open work,
-// not with every context the capture ever created.
-struct ChainSnapshot {
-  Nanoseconds last_time = 0;
-  int current = 0;
-  std::vector<std::pair<int, std::vector<ChainFrame>>> chains;
-};
-
-// --- Replay ------------------------------------------------------------------
-// The only place that attributes time and builds: per-interval attribution
-// to the running context, the fold of each call as it closes and, when
-// structure is retained, CallNode allocation and step emission. A replay
-// seeded with open chains (a shard after the first; always retaining)
-// stands in for them with placeholder nodes that Assemble grafts back.
-//
-// Attribution is O(1) per op. Each stack keeps an on-CPU clock: the sum of
-// the intervals charged while it ran with a call open. A call's elapsed time
-// is the clock's advance between its open and its close, and its net time is
-// that minus its direct children's elapsed. Both are integer sums of the
-// same intervals the per-frame charge would add, so they are exact.
-
-class Replayer {
- public:
-  struct Frame {
-    const TagEntry* fn = nullptr;
-    Nanoseconds opened_at = 0;         // the stack's clock at open
-    Nanoseconds children_elapsed = 0;  // elapsed of its closed direct children
-    CallNode* node = nullptr;          // retained structure only
-    std::uint32_t id = 0;
-    bool own = false;  // opened in this replay (not a placeholder)
-  };
-  // Per stack touched: with retained structure, a synthetic local root whose
-  // children are the placeholder chain head (if any) followed by new
-  // top-level calls.
-  struct LocalStack {
-    int id = 0;
-    Nanoseconds clock = 0;
-    std::unique_ptr<CallNode> root;
-    std::vector<Frame> chain;
-  };
-  struct Placeholder {
-    std::uint32_t node = 0;
-    CallNode* ptr = nullptr;
-  };
-
-  // `retain` keeps the call trees and the step list; otherwise no CallNode
-  // is allocated and memory is bounded by stack depth.
-  Replayer(const TagFile& names, bool retain, ChainSnapshot seed)
-      : funcs(names), retain_(retain), seed_(std::move(seed)), last_t_(seed_.last_time) {
-    cur_ = &StackFor(seed_.current);
-  }
-
-  void Apply(const Op& op) {
-    if (op.kind == OpKind::kFinishClose) {
-      Close(StackFor(op.stack), op);
-      return;
-    }
-    // Charge the interval since the previous op to the running context: its
-    // clock advances, which is elapsed time for every call open on it and
-    // net time for the innermost. A call whose process is switched out
-    // accumulates nothing while off-CPU (the paper's per-activity-block
-    // rule); time with no open call (user mode / unprofiled code) stays
-    // unattributed.
-    if (!cur_->chain.empty()) {
-      cur_->clock += op.t - last_t_;
-    }
-    last_t_ = op.t;
-    switch (op.kind) {
-      case OpKind::kSetCurrent:
-        cur_ = &StackFor(op.stack);
-        break;
-      case OpKind::kOpen:
-      case OpKind::kOpenInline:
-        Open(op, op.kind == OpKind::kOpenInline);
-        break;
-      case OpKind::kClose:
-        // Only the close of a switched-out process's swtch frame names a
-        // stack other than the running one.
-        Close(op.stack == cur_->id ? *cur_ : StackFor(op.stack), op);
-        break;
-      case OpKind::kAdvance:
-      case OpKind::kFinishClose:
-        break;
-    }
-  }
-
-  // Writes each still-open retained frame's time to date into its node, so
-  // Assemble can sum a call's per-shard parts. Runs when a shard's replay
-  // ends.
-  void SealOpenNodes() {
-    for (auto& [sid, ls] : stacks) {
-      for (std::size_t i = 0; i < ls.chain.size(); ++i) {
-        if (CallNode* n = ls.chain[i].node) {
-          n->elapsed_acc = Elapsed(ls, i);
-          n->net_acc = NetToDate(ls, i);
-        }
-      }
-    }
-  }
-
-  // Adds everything replayed so far to `into`'s per-function stats and idle
-  // time: closed calls as folded, open ones with their time to date.
-  void StatsSoFar(DecodedTrace* into) const {
-    FuncTable so_far = funcs;
-    for (const auto& [sid, ls] : stacks) {
-      for (std::size_t i = 0; i < ls.chain.size(); ++i) {
-        so_far.Fold(ls.chain[i].fn, NetToDate(ls, i), Elapsed(ls, i));
-      }
-    }
-    so_far.AddTo(into);
-  }
-
-  // Results, read by Assemble.
-  std::unordered_map<int, LocalStack> stacks;
-  std::vector<Placeholder> placeholders;
-  std::vector<TraceStep> steps;
-  // Steps closing a placeholder: only these need their node remapped.
-  std::vector<std::size_t> ph_steps;
-  FuncTable funcs;
-
- private:
-  static Nanoseconds Elapsed(const LocalStack& ls, std::size_t i) {
-    return ls.clock - ls.chain[i].opened_at;
-  }
-  // Net time of open frame `i`: its elapsed minus its closed children's and
-  // its open child's (the next frame on the chain).
-  static Nanoseconds NetToDate(const LocalStack& ls, std::size_t i) {
-    const Nanoseconds inner = i + 1 < ls.chain.size() ? Elapsed(ls, i + 1) : 0;
-    return Elapsed(ls, i) - ls.chain[i].children_elapsed - inner;
-  }
-
-  LocalStack& StackFor(int sid) {
-    auto it = stacks.find(sid);
-    if (it != stacks.end()) {
-      return it->second;
-    }
-    LocalStack ls;
-    ls.id = sid;
-    if (retain_) {
-      ls.root = std::make_unique<CallNode>();
-    }
-    // Replicate the open chain as placeholder nodes so depths, step targets
-    // and attribution all line up.
-    for (const auto& [chain_sid, chain] : seed_.chains) {
-      if (chain_sid != sid) {
-        continue;
-      }
-      CallNode* parent = ls.root.get();
-      for (const ChainFrame& frame : chain) {
-        auto ph = std::make_unique<CallNode>();
-        ph->fn = frame.fn;
-        ph->parent = parent;
-        CallNode* raw = ph.get();
-        parent->children.push_back(std::move(ph));
-        placeholders.push_back(Placeholder{frame.node, raw});
-        ls.chain.push_back(Frame{frame.fn, 0, 0, raw, frame.node, /*own=*/false});
-        parent = raw;
-      }
-      break;
-    }
-    return stacks.emplace(sid, std::move(ls)).first->second;
-  }
-
-  void Open(const Op& op, bool inline_marker) {
-    if (inline_marker && !retain_) {
-      return;  // markers carry no stats; only trees and steps show them
-    }
-    LocalStack& ls = *cur_;
-    CallNode* raw = nullptr;
-    if (retain_) {
-      auto node = std::make_unique<CallNode>();
-      node->fn = op.fn;
-      node->entry_time = op.t;
-      node->exit_time = op.t;
-      node->inline_marker = inline_marker;
-      node->closed = inline_marker;
-      CallNode* parent = ls.chain.empty() ? ls.root.get() : ls.chain.back().node;
-      node->parent = parent;
-      raw = node.get();
-      parent->children.push_back(std::move(node));
-      TraceStep step;
-      step.t = op.t;
-      step.node = raw;
-      step.depth = static_cast<int>(ls.chain.size());
-      step.stack_id = ls.id;
-      steps.push_back(step);
-    }
-    if (!inline_marker) {
-      ls.chain.push_back(Frame{op.fn, ls.clock, 0, raw, op.node, /*own=*/true});
-    }
-  }
-
-  void Close(LocalStack& ls, const Op& op) {
-    HWPROF_CHECK(!ls.chain.empty());
-    const Frame f = ls.chain.back();
-    ls.chain.pop_back();
-    const Nanoseconds elapsed = ls.clock - f.opened_at;
-    const Nanoseconds net = elapsed - f.children_elapsed;
-    if (!ls.chain.empty()) {
-      ls.chain.back().children_elapsed += elapsed;
-    }
-    if (CallNode* n = f.node) {
-      n->exit_time = op.t;
-      n->closed = true;
-      n->forced_close = op.kind == OpKind::kFinishClose || (op.flags & kOpForced) != 0;
-      // For a placeholder these are this replay's part; Assemble adds the rest.
-      n->elapsed_acc = elapsed;
-      n->net_acc = net;
-      if (op.kind == OpKind::kClose) {
-        TraceStep step;
-        step.t = op.t;
-        step.node = n;
-        step.is_exit = true;
-        step.depth = static_cast<int>(ls.chain.size());
-        step.stack_id = ls.id;
-        step.context_switch_in = (op.flags & kOpCtxSwitchIn) != 0;
-        if (!f.own) {
-          ph_steps.push_back(steps.size());
-        }
-        steps.push_back(step);
-      }
-    }
-    if (f.own) {
-      // Closed calls never accumulate further time: fold now, exactly the
-      // contribution a final tree walk would make. A placeholder is folded
-      // by Assemble once its parts are summed.
-      funcs.Fold(f.fn, net, elapsed);
-    }
-  }
-
-  const bool retain_;
-  const ChainSnapshot seed_;
-  LocalStack* cur_ = nullptr;
-  Nanoseconds last_t_ = 0;
-};
+// Folds a finished decode's counters into the pipeline telemetry registry
+// (src/obs): what it kept (0 and 0 for a stats-only decode) and the anomaly
+// ledger under decode.anomaly.*.
+void RecordDecodeTelemetry(const DecodedTrace& decoded, std::uint64_t contexts) {
+  OBS_COUNT("decode.finishes", 1);
+  OBS_COUNT("decode.contexts_retained", contexts);
+  OBS_COUNT("decode.steps_retained", decoded.steps.size());
+  OBS_COUNT("decode.anomaly.corrupt_words", decoded.corrupt_words);
+  OBS_COUNT("decode.anomaly.impossible_deltas", decoded.impossible_deltas);
+  OBS_COUNT("decode.anomaly.wrap_ambiguous_gaps", decoded.wrap_ambiguous_gaps);
+  OBS_COUNT("decode.anomaly.unknown_tags", decoded.unknown_tags);
+  OBS_COUNT("decode.anomaly.orphan_exits", decoded.orphan_exits);
+  OBS_COUNT("decode.anomaly.unclosed_entries", decoded.MidTraceUnclosedEntries());
+  OBS_COUNT("decode.anomaly.dropped_events", decoded.dropped_events);
+  OBS_COUNT("decode.anomaly.capture_gaps", decoded.capture_gaps);
+  OBS_COUNT("decode.anomaly.unaccounted_ns", decoded.unaccounted_time);
+}
 
 }  // namespace
+
+std::size_t NetBucket(std::uint64_t us) {
+  return std::min(static_cast<std::size_t>(std::bit_width(us)), kNetBuckets - 1);
+}
 
 // --- The engine --------------------------------------------------------------
 // The matcher is the only place that decides. Events arrive through Feed in
@@ -361,29 +107,26 @@ class Replayer {
 // as soon as its handling cannot depend on events that have not arrived yet
 // (Undecided below). At Finish the end of the buffer is the end of the
 // trace, so any chunking of the same event sequence yields identical
-// decisions. Each decision becomes ops: inline replay applies them to one
-// Replayer at once; sharded replay buffers them and cuts shards for the pool.
+// decisions. Each decision is replayed at once (Open, Mark, Close, SwitchTo,
+// Advance below): that is the only code that attributes time and builds.
+//
+// Attribution is O(1) per event. Each stack keeps an on-CPU clock: the sum of
+// the intervals charged while it ran with a call open. A call's elapsed time
+// is the clock's advance between its open and its close, and its net time is
+// that minus its direct children's elapsed. Both are integer sums of the
+// same intervals a per-frame charge would add, so they are exact.
 
 class StreamingDecoder::Impl {
  public:
-  // `jobs` 1 replays inline; anything else shards across that many workers
-  // (0 = ThreadPool::DefaultJobs()), always retaining structure.
   Impl(const TagFile& names, unsigned timer_bits, std::uint64_t timer_clock_hz,
-       bool retain, unsigned jobs, std::size_t shard_target_ops)
-      : names_(names), timer_(timer_bits, timer_clock_hz), entered_(names.size()) {
+       StreamingOptions options)
+      : names_(names),
+        timer_(timer_bits, timer_clock_hz),
+        entered_(names.size()),
+        funcs_(names),
+        retain_(options.retain_structure),
+        step_lines_(options.retain_structure ? options.step_lines : 0) {
     current_ = NewStack();
-    if (jobs == 0) {
-      jobs = ThreadPool::DefaultJobs();
-    }
-    if (jobs == 1) {
-      parts_.push_back(std::make_unique<Replayer>(names_, retain, ChainSnapshot{}));
-      inline_ = parts_.back().get();
-      return;
-    }
-    pool_ = std::make_unique<ThreadPool>(jobs);
-    target_ = std::max<std::size_t>(shard_target_ops, 1);
-    ops_.reserve(target_ + target_ / 4);
-    shard_start_ = Snapshot();
   }
 
   template <typename GetEvent>
@@ -394,15 +137,9 @@ class StreamingDecoder::Impl {
       Push(get(k));
     }
     Process(/*final=*/false);
-    // Inline replay reports under decode.*, sharded replay under parallel.*.
-    if (pool_ == nullptr) {
-      OBS_SPAN_END(feed, "decode.chunk");
-      OBS_COUNT("decode.chunks", 1);
-      OBS_COUNT("decode.events", count);
-    } else {
-      OBS_SPAN_END(feed, "parallel.feed");
-      OBS_COUNT("parallel.events", count);
-    }
+    OBS_SPAN_END(feed, "decode.chunk");
+    OBS_COUNT("decode.chunks", 1);
+    OBS_COUNT("decode.events", count);
   }
 
   void NoteDropped(std::uint64_t count) {
@@ -427,11 +164,9 @@ class StreamingDecoder::Impl {
   std::uint64_t events_seen() const { return out_.event_count; }
   std::uint64_t dropped_events() const { return out_.dropped_events; }
   std::size_t pending() const { return events_.size() - head_; }
-  std::size_t shards_planned() const { return pool_ != nullptr ? parts_.size() : 0; }
 
   DecodedTrace SnapshotStats() const {
-    HWPROF_CHECK_MSG(!finished_ && inline_ != nullptr,
-                     "StreamingDecoder: SnapshotStats needs a live inline decode");
+    HWPROF_CHECK_MSG(!finished_, "StreamingDecoder: SnapshotStats after Finish");
     DecodedTrace snap;
     snap.start_time = out_.start_time;
     snap.end_time = out_.end_time;
@@ -448,7 +183,14 @@ class StreamingDecoder::Impl {
     snap.capture_gaps = out_.capture_gaps;
     snap.corrupt_words = out_.corrupt_words;
     snap.impossible_deltas = out_.impossible_deltas;
-    inline_->StatsSoFar(&snap);
+    // Closed calls as folded, open ones with their time to date.
+    FuncTable so_far = funcs_;
+    for (const auto& s : stacks_) {
+      for (std::size_t i = 0; i < s->chain.size(); ++i) {
+        so_far.Fold(s->chain[i].fn, NetToDate(*s, i), Elapsed(*s, i));
+      }
+    }
+    so_far.AddTo(&snap);
     return snap;
   }
 
@@ -460,22 +202,18 @@ class StreamingDecoder::Impl {
     for (const auto& s : stacks_) {
       while (!s->chain.empty()) {
         // Truncated capture: close at the last observed instant.
-        const ChainFrame& top = s->chain.back();
+        const TagEntry* fn = s->chain.back().fn;
         ++out_.unclosed_entries;
-        ++out_.unclosed_entry_counts[top.fn->name];
-        ++out_.truncated_entry_counts[top.fn->name];
-        Emit(OpKind::kFinishClose, s.get(), out_.end_time, top);
-        s->chain.pop_back();
+        ++out_.unclosed_entry_counts[fn->name];
+        ++out_.truncated_entry_counts[fn->name];
+        Pop(*s, out_.end_time, /*forced=*/true, /*switch_in=*/false, /*exit_step=*/false);
       }
+      auto stack = std::make_unique<ActivityStack>();
+      stack->id = s->id;
+      stack->root = std::move(s->root);
+      out_.stacks.push_back(std::move(stack));
     }
-    if (pool_ != nullptr) {
-      SealShard();
-      pool_->WaitIdle();
-      OBS_SCOPED_SPAN("parallel.merge");
-      Assemble();
-    } else {
-      Assemble();
-    }
+    funcs_.AddTo(&out_);
     out_.truncated = truncated;
     // Wrap-ambiguity check against the host wall-clock envelope: a quiet gap
     // longer than WrapPeriod decodes as a short delta (the "at most one wrap"
@@ -494,12 +232,8 @@ class StreamingDecoder::Impl {
         }
       }
     }
-    RecordDecodeTelemetry(out_);
-    if (pool_ == nullptr) {
-      OBS_SPAN_END(finish, "decode.finish");
-    } else {
-      OBS_SPAN_END(finish, "parallel.finish");
-    }
+    RecordDecodeTelemetry(out_, contexts_);
+    OBS_SPAN_END(finish, "decode.finish");
     return std::move(out_);
   }
 
@@ -509,10 +243,21 @@ class StreamingDecoder::Impl {
     const TagEntry* entry = nullptr;  // never null (unknowns are filtered)
     bool is_exit = false;
   };
-  struct PlanStack {
+  // One open call. The matcher reads only `fn`; the rest is replay state.
+  struct Frame {
+    const TagEntry* fn = nullptr;
+    Nanoseconds opened_at = 0;         // the stack's clock at open
+    Nanoseconds children_elapsed = 0;  // elapsed of its closed direct children
+    CallNode* context = nullptr;       // retained structure only
+    std::size_t step = kNoStep;        // its entry step, if kept
+    bool has_children = false;         // retained structure only
+  };
+  struct Stack {
     int id = 0;
-    std::vector<ChainFrame> chain;  // outermost .. innermost open frames
+    std::vector<Frame> chain;  // outermost .. innermost open frames
     bool suspended = false;
+    Nanoseconds clock = 0;     // on-CPU time charged while a call was open
+    std::unique_ptr<CallNode> root = std::make_unique<CallNode>();
   };
 
   void Push(RawEvent e) {
@@ -557,10 +302,8 @@ class StreamingDecoder::Impl {
       if (!final && Undecided(head_, ev)) {
         break;  // everything from here on waits for more of the trace
       }
-      last_time_ = ev.t;
       StepEvent(ev, head_);
       ++head_;
-      MaybeSeal(/*block_boundary=*/false);
     }
     if (head_ == events_.size()) {
       events_.clear();
@@ -571,12 +314,12 @@ class StreamingDecoder::Impl {
     }
   }
 
-  static const TagEntry* TopFn(const PlanStack* s) {
+  static const TagEntry* TopFn(const Stack* s) {
     return s->chain.empty() ? nullptr : s->chain.back().fn;
   }
 
   // The stack suspended in swtch whose idle window is still open, if any.
-  PlanStack* PendingSwitchOut() const {
+  Stack* PendingSwitchOut() const {
     const bool open = pending_swtch_ != nullptr && TopFn(pending_swtch_) != nullptr &&
                       TopFn(pending_swtch_)->kind == TagKind::kContextSwitch;
     return open ? pending_swtch_ : nullptr;
@@ -600,7 +343,7 @@ class StreamingDecoder::Impl {
     // A normal exit needs lookahead only when its function is not open
     // anywhere on the running stack (HandleExit's suspended-stack fallback).
     // Scanned innermost first: an exit usually closes the top frame.
-    const std::vector<ChainFrame>& ch = current_->chain;
+    const std::vector<Frame>& ch = current_->chain;
     for (auto it = ch.rbegin(); it != ch.rend(); ++it) {
       if (it->fn == ev.entry) {
         return false;
@@ -612,8 +355,8 @@ class StreamingDecoder::Impl {
   // Whether every suspended stack BestSuspendedMatch would consider has a
   // final score given the events buffered so far.
   bool ScoresDecided(std::size_t from, const TagEntry* require_top,
-                     const PlanStack* skip_top_of) const {
-    for (const PlanStack* s : suspend_order_) {
+                     const Stack* skip_top_of) const {
+    for (const Stack* s : suspend_order_) {
       if (require_top != nullptr && TopFn(s) != require_top) {
         continue;
       }
@@ -638,9 +381,9 @@ class StreamingDecoder::Impl {
   // closed). `decided`, when non-null, is cleared if the scan ran off the
   // end of the buffered events before reaching a terminator — meaning the
   // score could still change as more of the trace arrives.
-  int MatchScore(const PlanStack* s, std::size_t from, bool skip_top,
+  int MatchScore(const Stack* s, std::size_t from, bool skip_top,
                  bool* decided) const {
-    const std::vector<ChainFrame>& ch = s->chain;
+    const std::vector<Frame>& ch = s->chain;
     std::size_t n = ch.size();
     if (skip_top && n > 0) {
       --n;
@@ -689,12 +432,12 @@ class StreamingDecoder::Impl {
   // Finds the suspended stack best matching the upcoming exits; nullptr if
   // none matches even its top frame. `require_top` restricts candidates to
   // stacks whose innermost open call is that function.
-  PlanStack* BestSuspendedMatch(std::size_t from, const TagEntry* require_top) {
-    PlanStack* best = nullptr;
+  Stack* BestSuspendedMatch(std::size_t from, const TagEntry* require_top) {
+    Stack* best = nullptr;
     int best_score = 0;
     // Most recently suspended wins ties.
     for (auto it = suspend_order_.rbegin(); it != suspend_order_.rend(); ++it) {
-      PlanStack* s = *it;
+      Stack* s = *it;
       if (require_top != nullptr && TopFn(s) != require_top) {
         continue;
       }
@@ -707,7 +450,7 @@ class StreamingDecoder::Impl {
     return best;
   }
 
-  void Unsuspend(PlanStack* s) {
+  void Unsuspend(Stack* s) {
     s->suspended = false;
     suspend_order_.erase(std::remove(suspend_order_.begin(), suspend_order_.end(), s),
                          suspend_order_.end());
@@ -716,14 +459,12 @@ class StreamingDecoder::Impl {
   void StepEvent(const DecodedEvent& ev, std::size_t index) {
     const TagEntry* fn = ev.entry;
     if (fn->kind == TagKind::kInline) {
-      Emit(OpKind::kOpenInline, current_, ev.t, ChainFrame{fn, next_node_id_++});
+      Mark(ev.t, fn);
       return;
     }
     if (!ev.is_exit) {
       entered_[names_.IndexOf(fn)] = true;
-      const ChainFrame frame{fn, next_node_id_++};
-      Emit(OpKind::kOpen, current_, ev.t, frame);
-      current_->chain.push_back(frame);
+      Open(ev.t, fn);
       if (fn->kind == TagKind::kContextSwitch) {
         // The outgoing process is now suspended inside swtch. Idle-window
         // activity (interrupts) nests under the open swtch frame on the
@@ -742,11 +483,11 @@ class StreamingDecoder::Impl {
   }
 
   void HandleSwtchExit(const DecodedEvent& ev, std::size_t index) {
-    if (PlanStack* outgoing = PendingSwitchOut()) {
+    if (Stack* outgoing = PendingSwitchOut()) {
       // Close the idle window. `outgoing` stays suspended (its process is
       // still off-CPU).
       pending_swtch_ = nullptr;
-      Close(outgoing, ev.t, kOpCtxSwitchIn);
+      Close(*outgoing, ev.t, /*forced=*/false, /*switch_in=*/true);
     } else {
       // Orphan swtch exit (capture started mid-idle, or a brand-new
       // process's first switch-in with no prior entry).
@@ -757,14 +498,13 @@ class StreamingDecoder::Impl {
     // belong to nobody) means a fresh context — a newly created process
     // "returning from swtch" for the first time. Later unmatched exits can
     // still re-attach to suspended stacks (HandleExit's fallback).
-    if (PlanStack* s = BestSuspendedMatch(index + 1, nullptr)) {
-      Unsuspend(s);
-      current_ = s;
+    Stack* next = BestSuspendedMatch(index + 1, nullptr);
+    if (next != nullptr) {
+      Unsuspend(next);
     } else {
-      current_ = NewStack();
+      next = NewStack();
     }
-    Emit(OpKind::kSetCurrent, current_, ev.t);
-    MaybeSeal(/*block_boundary=*/true);
+    SwitchTo(next, ev.t);
   }
 
   void HandleExit(const DecodedEvent& ev, std::size_t index) {
@@ -772,29 +512,28 @@ class StreamingDecoder::Impl {
     // this stack means missed exits in between (should not happen with
     // compiler-generated triggers, but the analyser tolerates it):
     // force-close down to the match.
-    std::vector<ChainFrame>& ch = current_->chain;
+    std::vector<Frame>& ch = current_->chain;
     for (std::size_t p = ch.size(); p-- > 0;) {
       if (ch[p].fn == ev.entry) {
         while (ch.size() - 1 > p) {
           ++out_.unclosed_entry_counts[ch.back().fn->name];
           ++out_.unclosed_entries;
-          Close(current_, ev.t, kOpForced);
+          Close(*current_, ev.t, /*forced=*/true, /*switch_in=*/false);
         }
-        Close(current_, ev.t, 0);
+        Close(*current_, ev.t, /*forced=*/false, /*switch_in=*/false);
         return;
       }
     }
     // Not on this stack: an implicitly resumed context (a fresh stack was
     // chosen at the context switch and this exit belongs to the real one).
-    if (PlanStack* s = BestSuspendedMatch(index, ev.entry)) {
+    if (Stack* s = BestSuspendedMatch(index, ev.entry)) {
       Unsuspend(s);
-      current_ = s;
-      Emit(OpKind::kSetCurrent, s, ev.t);
-      Close(s, ev.t, kOpCtxSwitchIn);
+      SwitchTo(s, ev.t);
+      Close(*s, ev.t, /*forced=*/false, /*switch_in=*/true);
       return;
     }
     NoteOrphanExit(ev.entry);
-    Emit(OpKind::kAdvance, current_, ev.t);
+    Advance(ev.t);
   }
 
   // An orphan exit of a function never entered earlier in the trace is the
@@ -808,173 +547,171 @@ class StreamingDecoder::Impl {
     }
   }
 
-  PlanStack* NewStack() {
-    auto s = std::make_unique<PlanStack>();
+  Stack* NewStack() {
+    auto s = std::make_unique<Stack>();
     s->id = static_cast<int>(stacks_.size());
     stacks_.push_back(std::move(s));
     return stacks_.back().get();
   }
 
-  void Emit(OpKind kind, const PlanStack* s, Nanoseconds t,
-            const ChainFrame& frame = ChainFrame{}, std::uint8_t flags = 0) {
-    Op op;
-    op.t = t;
-    op.fn = frame.fn;
-    op.node = frame.node;
-    op.stack = s->id;
-    op.kind = kind;
-    op.flags = flags;
-    if (inline_ != nullptr) {
-      inline_->Apply(op);
-    } else {
-      ops_.push_back(op);
+  // --- Replay ----------------------------------------------------------------
+
+  // Charges the interval since the previous replayed instant to the running
+  // context: its clock advances, which is elapsed time for every call open on
+  // it and net time for the innermost. A call whose process is switched out
+  // accumulates nothing while off-CPU (the paper's per-activity-block rule);
+  // time with no open call (user mode / unprofiled code) stays unattributed.
+  void Advance(Nanoseconds t) {
+    if (!current_->chain.empty()) {
+      current_->clock += t - last_t_;
+    }
+    last_t_ = t;
+  }
+
+  // Interval attribution switches to `s` from `t` on.
+  void SwitchTo(Stack* s, Nanoseconds t) {
+    Advance(t);
+    current_ = s;
+  }
+
+  void Open(Nanoseconds t, const TagEntry* fn) {
+    Advance(t);
+    Stack& s = *current_;
+    Frame f;
+    f.fn = fn;
+    f.opened_at = s.clock;
+    if (retain_) {
+      f.context = ChildContext(s.chain.empty() ? s.root.get() : s.chain.back().context, fn);
+      f.step = OpenStep(s, t, fn, /*inline_marker=*/false);
+    }
+    s.chain.push_back(f);
+  }
+
+  // An inline trigger: a single-event marker under the running call. Markers
+  // carry no time, so only the steps show them.
+  void Mark(Nanoseconds t, const TagEntry* fn) {
+    Advance(t);
+    if (retain_) {
+      OpenStep(*current_, t, fn, /*inline_marker=*/true);
     }
   }
 
-  void Close(PlanStack* s, Nanoseconds t, std::uint8_t flags) {
-    HWPROF_CHECK(!s->chain.empty());
-    Emit(OpKind::kClose, s, t, s->chain.back(), flags);
-    s->chain.pop_back();
+  // Closes `s`'s innermost call at `t`. Only the close of a switched-out
+  // process's swtch frame names a stack other than the running one.
+  void Close(Stack& s, Nanoseconds t, bool forced, bool switch_in) {
+    Advance(t);
+    Pop(s, t, forced, switch_in, /*exit_step=*/true);
   }
 
-  // --- Sharding, merge and finish ---------------------------------------------
-
-  ChainSnapshot Snapshot() const {
-    ChainSnapshot snap;
-    snap.last_time = last_time_;
-    snap.current = current_->id;
-    for (const auto& s : stacks_) {
-      if (!s->chain.empty()) {
-        snap.chains.emplace_back(s->id, s->chain);
-      }
+  // Pops `s`'s innermost frame and folds the call: into the per-function
+  // stats always; with retained structure into its context node and its
+  // steps. A truncation close at Finish charges nothing and has no exit step.
+  void Pop(Stack& s, Nanoseconds t, bool forced, bool switch_in, bool exit_step) {
+    HWPROF_CHECK(!s.chain.empty());
+    const Frame f = s.chain.back();
+    s.chain.pop_back();
+    const Nanoseconds elapsed = s.clock - f.opened_at;
+    const Nanoseconds net = elapsed - f.children_elapsed;
+    if (!s.chain.empty()) {
+      s.chain.back().children_elapsed += elapsed;
     }
-    return snap;
-  }
-
-  // Called after each decided event. Preferred cut: between activity
-  // blocks, right after a context switch resolves. But a saturating
-  // interrupt-driven capture can run one context for the entire trace, so a
-  // block that overruns the target 2x is cut mid-block (never while a switch
-  // is half-resolved). Replay is seeded with the open-chain snapshot, so the
-  // output never depends on where the cut falls — the target only shapes
-  // shard granularity.
-  void MaybeSeal(bool block_boundary) {
-    if (pool_ != nullptr && ops_.size() >= target_ &&
-        (block_boundary || (pending_swtch_ == nullptr && ops_.size() >= 2 * target_))) {
-      SealShard();
-    }
-  }
-
-  void SealShard() {
-    if (ops_.empty()) {
+    funcs_.Fold(f.fn, net, elapsed);
+    if (!retain_) {
       return;
     }
-    auto ops = std::make_shared<std::vector<Op>>(std::move(ops_));
-    ops_.clear();
-    ops_.reserve(target_ + target_ / 4);
-    parts_.push_back(std::make_unique<Replayer>(
-        names_, /*retain=*/true, std::exchange(shard_start_, Snapshot())));
-    Replayer* part = parts_.back().get();
-    OBS_COUNT("parallel.shards", 1);
-    OBS_COUNT("parallel.shard_ops", ops->size());
-    OBS_GAUGE_ADD("parallel.queue_depth", 1);
-    pool_->Submit([ops, part] {
-      {
-        OBS_SCOPED_SPAN("parallel.shard_replay");
-        for (const Op& op : *ops) {
-          part->Apply(op);
-        }
-        part->SealOpenNodes();
-      }
-      OBS_GAUGE_ADD("parallel.queue_depth", -1);
-    });
+    CallNode& node = *f.context;
+    ++node.calls;
+    node.net += net;
+    node.elapsed += elapsed;
+    ++node.net_histogram[NetBucket(ToWholeUsec(net))];
+    TraceStep done;
+    done.fn = f.fn;
+    done.net = net;
+    done.elapsed = elapsed;
+    done.exit_time = t;
+    done.stack_id = s.id;
+    done.has_children = f.has_children;
+    done.forced_close = forced;
+    if (f.step != kNoStep) {
+      TraceStep& entry = out_.steps[f.step];
+      done.t = entry.t;
+      done.depth = entry.depth;
+      entry = done;
+    }
+    // The report renders a context-switch line and an exit line, or an exit
+    // line for a call with subroutines, or nothing (a leaf's entry line
+    // already carries its times).
+    const std::size_t lines = switch_in ? 2 : (f.has_children ? 1 : 0);
+    if (exit_step && KeepStep(lines)) {
+      done.t = t;
+      done.depth = static_cast<int>(s.chain.size());
+      done.is_exit = true;
+      done.context_switch_in = switch_in;
+      out_.steps.push_back(done);
+    }
   }
 
-  // Stitches the replays of consecutive stretches of the op script, in
-  // order, into the final trees, steps and stats.
-  void Assemble() {
-    for (const auto& s : stacks_) {
-      auto stack = std::make_unique<ActivityStack>();
-      stack->id = s->id;
-      stack->root = std::make_unique<CallNode>();
-      stack->top = stack->root.get();
-      stack->suspended = s->suspended;
-      out_.stacks.push_back(std::move(stack));
+  // The context node for a call of `fn` under `parent`, made on first use.
+  CallNode* ChildContext(CallNode* parent, const TagEntry* fn) {
+    for (const auto& child : parent->children) {
+      if (child->fn == fn) {
+        return child.get();
+      }
     }
-    // Calls open across at least one cut, by global id: each later replay's
-    // placeholder contributes its partial accumulators and children.
-    std::unordered_map<std::uint32_t, CallNode*> open_across;
-    // A single replay hands its steps over as they are; several concatenate
-    // in order.
-    const bool concat = parts_.size() > 1;
-    std::size_t total_steps = 0;
-    for (const auto& part : parts_) {
-      total_steps += concat ? part->steps.size() : 0;
+    parent->children.push_back(std::make_unique<CallNode>());
+    parent->children.back()->fn = fn;
+    ++contexts_;
+    return parent->children.back().get();
+  }
+
+  // The entry step of a call or marker opening on `s`: its index, or kNoStep
+  // when it is past what the caller asked to keep.
+  std::size_t OpenStep(Stack& s, Nanoseconds t, const TagEntry* fn, bool inline_marker) {
+    if (!s.chain.empty()) {
+      s.chain.back().has_children = true;
     }
-    out_.steps.reserve(total_steps);
-    FuncTable funcs(names_);
-    for (const auto& part : parts_) {
-      Replayer& r = *part;
-      std::unordered_map<const CallNode*, CallNode*> remap;
-      for (const Replayer::Placeholder& ph : r.placeholders) {
-        remap.emplace(ph.ptr, open_across.at(ph.node));
-      }
-      // Moves `from`'s children under `to`; nested placeholders stay put.
-      auto adopt = [&remap](CallNode* from, CallNode* to) {
-        for (auto& child : from->children) {
-          if (remap.count(child.get()) == 0) {
-            child->parent = to;
-            to->children.push_back(std::move(child));
-          }
-        }
-      };
-      for (const Replayer::Placeholder& ph : r.placeholders) {
-        CallNode* real = remap.at(ph.ptr);
-        real->net_acc += ph.ptr->net_acc;
-        real->elapsed_acc += ph.ptr->elapsed_acc;
-        if (ph.ptr->closed) {
-          real->exit_time = ph.ptr->exit_time;
-          real->closed = true;
-          real->forced_close = ph.ptr->forced_close;
-        }
-        adopt(ph.ptr, real);
-      }
-      for (const auto& [sid, ls] : r.stacks) {
-        if (ls.root == nullptr) {
-          continue;  // bounded replay: no structure, and nothing left open
-        }
-        adopt(ls.root.get(), out_.stacks[static_cast<std::size_t>(sid)]->root.get());
-        for (const Replayer::Frame& f : ls.chain) {
-          if (f.own) {
-            open_across.emplace(f.id, f.node);
-          }
-        }
-      }
-      // Only placeholder-close steps can reference a node owned by an
-      // earlier replay; every other step's node pointer is already final
-      // (children hold unique_ptrs, so grafting never moves the nodes).
-      for (const std::size_t idx : r.ph_steps) {
-        r.steps[idx].node = remap.at(r.steps[idx].node);
-      }
-      if (concat) {
-        out_.steps.insert(out_.steps.end(), r.steps.begin(), r.steps.end());
-      } else {
-        out_.steps = std::move(r.steps);
-      }
-      funcs.Combine(r.funcs);
+    if (!KeepStep(1)) {
+      return kNoStep;
     }
-    // Cross-cut calls: now that their accumulators are complete, fold each
-    // exactly once.
-    for (const auto& [id, node] : open_across) {
-      funcs.Fold(node->fn, node->net_acc, node->elapsed_acc);
+    TraceStep step;
+    step.t = t;
+    step.fn = fn;
+    step.exit_time = t;
+    step.depth = static_cast<int>(s.chain.size());
+    step.stack_id = s.id;
+    step.inline_marker = inline_marker;
+    out_.steps.push_back(step);
+    return out_.steps.size() - 1;
+  }
+
+  // Whether the next step, which renders `lines` report lines, is kept:
+  // every step until the kept ones render step_lines_, then one more so the
+  // report can tell that the trace went on.
+  bool KeepStep(std::size_t lines) {
+    if (lines_ >= step_lines_) {
+      if (step_lines_ == 0 || past_budget_) {
+        return false;
+      }
+      past_budget_ = true;
     }
-    funcs.AddTo(&out_);
+    lines_ += lines;
+    return true;
+  }
+
+  static Nanoseconds Elapsed(const Stack& s, std::size_t i) {
+    return s.clock - s.chain[i].opened_at;
+  }
+  // Net time of open frame `i`: its elapsed minus its closed children's and
+  // its open child's (the next frame on the chain).
+  static Nanoseconds NetToDate(const Stack& s, std::size_t i) {
+    const Nanoseconds inner = i + 1 < s.chain.size() ? Elapsed(s, i + 1) : 0;
+    return Elapsed(s, i) - s.chain[i].children_elapsed - inner;
   }
 
   const TagFile& names_;
   const UsecTimer timer_;
 
-  DecodedTrace out_;  // header + anomaly counters; structure comes at Assemble
+  DecodedTrace out_;  // header, anomaly counters and the kept steps
   // Pending window: time-reconstructed events not yet decided.
   // events_[0, head_) are done (kept until compaction); the rest wait.
   std::vector<DecodedEvent> events_;
@@ -982,55 +719,32 @@ class StreamingDecoder::Impl {
   bool have_prev_ = false;
   std::uint32_t prev_ = 0;
   Nanoseconds now_ = 0;
-  Nanoseconds last_time_ = 0;
 
-  std::vector<std::unique_ptr<PlanStack>> stacks_;
-  PlanStack* current_ = nullptr;
-  PlanStack* pending_swtch_ = nullptr;
-  std::vector<PlanStack*> suspend_order_;
+  std::vector<std::unique_ptr<Stack>> stacks_;
+  Stack* current_ = nullptr;  // the running context
+  Stack* pending_swtch_ = nullptr;
+  std::vector<Stack*> suspend_order_;
   // Functions seen entering at least once, by dense id; orphan exits of
   // anything else are preopen (the capture began inside the call).
   std::vector<bool> entered_;
   Nanoseconds envelope_ = 0;  // host wall-clock capture duration; 0 = none
   bool finished_ = false;
-  std::uint32_t next_node_id_ = 0;
 
-  // Replay: one inline Replayer, or a pool and one Replayer per shard.
-  std::vector<std::unique_ptr<Replayer>> parts_;
-  Replayer* inline_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;
-  std::size_t target_ = 0;
-  std::vector<Op> ops_;
-  ChainSnapshot shard_start_;
+  // Replay.
+  FuncTable funcs_;
+  Nanoseconds last_t_ = 0;  // the last replayed instant
+  const bool retain_;
+  const std::size_t step_lines_;
+  std::size_t lines_ = 0;  // report lines the kept steps render
+  bool past_budget_ = false;
+  std::uint64_t contexts_ = 0;
 };
 
 StreamingDecoder::StreamingDecoder(const TagFile& names, unsigned timer_bits,
                                    std::uint64_t timer_clock_hz, StreamingOptions options)
-    : impl_(std::make_unique<Impl>(names, timer_bits, timer_clock_hz,
-                                   options.retain_structure, /*jobs=*/1, 0)) {}
-
-StreamingDecoder::StreamingDecoder(const TagFile& names, unsigned timer_bits,
-                                   std::uint64_t timer_clock_hz, unsigned jobs,
-                                   std::size_t shard_target_ops)
-    : impl_(std::make_unique<Impl>(names, timer_bits, timer_clock_hz,
-                                   /*retain=*/true, jobs, shard_target_ops)) {}
+    : impl_(std::make_unique<Impl>(names, timer_bits, timer_clock_hz, options)) {}
 
 StreamingDecoder::~StreamingDecoder() = default;
-
-void RecordDecodeTelemetry(const DecodedTrace& decoded) {
-  OBS_COUNT("decode.finishes", 1);
-  // 0 for a bounded decode: shows in --stats whether a run built the trees.
-  OBS_COUNT("decode.steps_retained", decoded.steps.size());
-  OBS_COUNT("decode.anomaly.corrupt_words", decoded.corrupt_words);
-  OBS_COUNT("decode.anomaly.impossible_deltas", decoded.impossible_deltas);
-  OBS_COUNT("decode.anomaly.wrap_ambiguous_gaps", decoded.wrap_ambiguous_gaps);
-  OBS_COUNT("decode.anomaly.unknown_tags", decoded.unknown_tags);
-  OBS_COUNT("decode.anomaly.orphan_exits", decoded.orphan_exits);
-  OBS_COUNT("decode.anomaly.unclosed_entries", decoded.MidTraceUnclosedEntries());
-  OBS_COUNT("decode.anomaly.dropped_events", decoded.dropped_events);
-  OBS_COUNT("decode.anomaly.capture_gaps", decoded.capture_gaps);
-  OBS_COUNT("decode.anomaly.unaccounted_ns", decoded.unaccounted_time);
-}
 
 void StreamingDecoder::Feed(const RawEvent* events, std::size_t count) {
   impl_->FeedWith(count, [events](std::size_t k) { return events[k]; });
@@ -1076,8 +790,6 @@ std::uint64_t StreamingDecoder::events_seen() const { return impl_->events_seen(
 std::uint64_t StreamingDecoder::dropped_events() const { return impl_->dropped_events(); }
 
 std::size_t StreamingDecoder::pending() const { return impl_->pending(); }
-
-std::size_t StreamingDecoder::shards_planned() const { return impl_->shards_planned(); }
 
 DecodedTrace StreamingDecoder::SnapshotStats() const { return impl_->SnapshotStats(); }
 

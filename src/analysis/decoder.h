@@ -5,8 +5,10 @@
 // Responsibilities:
 //  * absolute-time reconstruction across timer wraps (interval deltas; the
 //    hardware guarantees < one wrap period between events),
-//  * entry/exit matching into call trees, with per-call net time
-//    (elapsed minus direct subroutines),
+//  * entry/exit matching into calls, with per-call net time (elapsed minus
+//    direct subroutines), folded as each call closes into per-function
+//    stats and, when asked for, a calling-context tree per stack and the
+//    chronological steps of the code-path trace,
 //  * context-switch handling: a '!'-tagged function (swtch) suspends the
 //    current process's stack at entry; interrupt activity during the idle
 //    window nests under the open swtch node (so "time in swtch is counted
@@ -20,7 +22,9 @@
 #ifndef HWPROF_SRC_ANALYSIS_DECODER_H_
 #define HWPROF_SRC_ANALYSIS_DECODER_H_
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,48 +39,55 @@ namespace hwprof {
 class CaptureReader;
 struct SoaChunk;
 
+// Per-call net time histogram: log2 buckets over whole microseconds. Bucket
+// 0 holds 0 us and bucket b >= 1 holds [2^(b-1), 2^b) us, the last one
+// everything from ~4 s up.
+inline constexpr std::size_t kNetBuckets = 24;
+std::size_t NetBucket(std::uint64_t us);
+
+// One calling context: a distinct call path on one activity stack. Every
+// call that closes on that path is folded into its node, so a tree's size
+// follows the capture's distinct paths, not its length (the gprof arc and
+// McRae's per-routine charge, kept per path).
+//
+// Times are on-CPU interval accounting: time between consecutive events is
+// charged to the running context's innermost open call (net) and to every
+// open call on that context's stack (elapsed). A call whose process is
+// switched out therefore accumulates nothing while off-CPU — the paper's
+// per-activity-block rule (tsleep shows "25 us total" even though the
+// process slept for milliseconds).
 struct CallNode {
   const TagEntry* fn = nullptr;  // null only for synthetic stack roots
-  Nanoseconds entry_time = 0;
-  Nanoseconds exit_time = 0;
-  bool closed = false;
-  bool forced_close = false;  // closed by truncation/mismatch recovery
-  bool inline_marker = false;
-  CallNode* parent = nullptr;
-  std::vector<std::unique_ptr<CallNode>> children;
-
-  // On-CPU interval accounting: time between consecutive events is charged
-  // to the running context's innermost open call (net) and to every open
-  // call on that context's stack (elapsed). A call whose process is
-  // switched out therefore accumulates nothing while off-CPU — the paper's
-  // per-activity-block rule (tsleep shows "25 us total" even though the
-  // process slept for milliseconds).
-  Nanoseconds net_acc = 0;
-  Nanoseconds elapsed_acc = 0;
-
-  Nanoseconds Elapsed() const { return elapsed_acc; }
-  Nanoseconds Net() const { return net_acc; }
-  // Wall-clock span between the entry and exit events (includes off-CPU
-  // time; used by reports that show call lifetimes).
-  Nanoseconds WallSpan() const { return exit_time - entry_time; }
+  std::vector<std::unique_ptr<CallNode>> children;  // in first-call order
+  std::uint64_t calls = 0;
+  Nanoseconds net = 0;      // exclusive, summed over the calls
+  Nanoseconds elapsed = 0;  // inclusive of subroutines, summed over the calls
+  std::array<std::uint64_t, kNetBuckets> net_histogram{};  // calls per NetBucket
 };
 
 // One process context discovered in the trace.
 struct ActivityStack {
   int id = 0;
   std::unique_ptr<CallNode> root;  // synthetic; its children are top levels
-  CallNode* top = nullptr;         // innermost open node (== root.get() if none)
-  bool suspended = false;
 };
 
-// Chronological line item for the code-path report.
+// Chronological line item for the code-path report and the trace-event
+// export: a call's entry or exit, or an inline marker. Both steps of a call
+// carry the call's own close data (a call still open when the capture ends
+// is closed by the truncation at the last event, forced).
 struct TraceStep {
   Nanoseconds t = 0;
-  const CallNode* node = nullptr;
-  bool is_exit = false;
+  const TagEntry* fn = nullptr;
+  Nanoseconds net = 0;
+  Nanoseconds elapsed = 0;
+  Nanoseconds exit_time = 0;
   int depth = 0;     // nesting depth at emission (0 = top level)
   int stack_id = 0;  // which activity stack
+  bool is_exit = false;
   bool context_switch_in = false;  // this exit resumes a different context
+  bool inline_marker = false;
+  bool has_children = false;  // opened a call or marker before it closed
+  bool forced_close = false;  // closed by truncation/mismatch recovery
 };
 
 struct FuncStats {
@@ -96,7 +107,10 @@ struct DecodedTrace {
   std::size_t event_count = 0;
   bool truncated = false;  // capture RAM overflowed
 
+  // One per context; the context trees are empty unless the decode
+  // retained structure.
   std::vector<std::unique_ptr<ActivityStack>> stacks;
+  // The steps the decode was asked to keep (StreamingOptions::step_lines).
   std::vector<TraceStep> steps;
   std::map<std::string, FuncStats> per_function;
 
@@ -120,7 +134,7 @@ struct DecodedTrace {
   // The subset of orphan_exit_counts whose function had no prior entry
   // anywhere in the trace: exits of calls opened *before* the first captured
   // event. That is the signature of a capture that begins mid-call — a board
-  // armed mid-run, or a shard/bank cut at a context-switch boundary — the
+  // armed mid-run, or a bank cut at a context-switch boundary — the
   // front-of-capture mirror of truncated_entry_counts. Consumers judging
   // trace health (hwprof_lint's cross-check) tolerate these the same way
   // they tolerate end-of-capture truncation.
@@ -192,29 +206,31 @@ struct DecodedTrace {
   bool HasAnomalies() const { return AnomalyTotal() > 0; }
 };
 
-// Folds a finished decode's anomaly counters into the pipeline telemetry
-// registry (src/obs) under decode.anomaly.*. Every Finish calls it, inline
-// or sharded, so --stats reports anomalies whichever replay ran.
-void RecordDecodeTelemetry(const DecodedTrace& decoded);
-
 class Decoder {
  public:
   // Decodes `raw` against `names`. Never fails: malformed regions become
   // anomaly counts.
   //
-  // Lifetime: the returned trace's CallNodes point into `names`' entries;
-  // `names` must outlive the DecodedTrace.
+  // Lifetime: the returned trace's nodes and steps point into `names`'
+  // entries; `names` must outlive the DecodedTrace.
   static DecodedTrace Decode(const RawTrace& raw, const TagFile& names);
 };
 
+// Keep every step (StreamingOptions::step_lines).
+inline constexpr std::size_t kAllSteps = std::numeric_limits<std::size_t>::max();
+
 struct StreamingOptions {
-  // Keep the full call trees and the chronological step list (what the
-  // trace/callgraph/process reports need; batch Decode() sets this). When
-  // false, no CallNode is allocated: each call is a plain frame on its
-  // stack's chain, folded into the per-function stats as it closes, so
-  // memory is bounded by stack depth plus the context-switch lookahead
-  // window — not by capture length.
+  // Fold each closing call into its stack's calling-context tree (what the
+  // call-graph, process, histogram, folded and diff reports read) and keep
+  // the steps `step_lines` asks for. When false, each call is only a plain
+  // frame on its stack's chain, folded into the per-function stats as it
+  // closes, so memory is bounded by stack depth plus the context-switch
+  // lookahead window — not by capture length. Batch Decode() sets it.
   bool retain_structure = false;
+  // With retain_structure: keep the first steps a TraceReport of this many
+  // lines renders (plus one, so it can tell that more followed). 0 keeps
+  // none; kAllSteps keeps them all (what the trace-event export needs).
+  std::size_t step_lines = kAllSteps;
 };
 
 // Incremental decoder: feed a capture in arbitrarily-sized chunks and get
@@ -228,11 +244,9 @@ struct StreamingOptions {
 // arrives.
 //
 // This is the one decode engine. A single matcher makes every decision and
-// emits a flat op script (open / close / set-current / advance); a replayer
-// turns the ops into per-function stats (and, when retained, call trees and
-// steps) at O(1) cost per op. Here each op
-// is replayed inline as soon as it is decided; ParallelAnalyzer runs the
-// same engine with the ops cut into shards and replayed on a thread pool.
+// replays it at once (open / close / switch context / advance the clock) at
+// O(1) cost: per-function stats always, and with retained structure the
+// calling-context trees and the kept steps.
 //
 // Lifetime: `names` must outlive the decoder and any DecodedTrace it emits.
 class StreamingDecoder {
@@ -279,8 +293,8 @@ class StreamingDecoder {
 
   // Running statistics view of everything decoded so far: per-function
   // stats, idle and elapsed totals (open calls included, with time
-  // accumulated to date). Carries no trees or steps; pass it to Summary for
-  // a live Figure 3 report.
+  // accumulated to date). Carries no stacks or steps; pass it to Summary
+  // for a live Figure 3 report.
   DecodedTrace SnapshotStats() const;
 
   // Decodes everything still buffered, closes open calls, and returns the
@@ -297,14 +311,6 @@ class StreamingDecoder {
   DecodedTrace DecodeAll(const RawTrace& raw);
 
  private:
-  friend class ParallelAnalyzer;
-  // Sharded replay for ParallelAnalyzer (see parallel.h): `jobs` workers
-  // (0 = hardware concurrency; 1 = inline), always retaining structure.
-  StreamingDecoder(const TagFile& names, unsigned timer_bits,
-                   std::uint64_t timer_clock_hz, unsigned jobs,
-                   std::size_t shard_target_ops);
-  std::size_t shards_planned() const;
-
   class Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -24,44 +24,27 @@ std::string UsecStr(Nanoseconds ns) {
 constexpr int kPid = 1;
 constexpr int kAnomalyTid = 0;  // stacks are tid 1..N
 
-void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
-              std::vector<std::string>* events) {
-  if (node.fn != nullptr) {
-    if (node.inline_marker) {
-      std::string event = "{\"name\":";
-      AppendJsonString(node.fn->name, &event);
-      event += StrFormat(",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\"}",
-                         kPid, tid, UsecStr(node.entry_time).c_str());
-      events->push_back(std::move(event));
-      return;  // inline markers have no duration and no children
-    }
-    const Nanoseconds exit = node.closed ? node.exit_time : trace_end;
-    const Nanoseconds dur = exit >= node.entry_time ? exit - node.entry_time : 0;
-    std::string args = StrFormat(
-        "{\"net_ns\":%llu,\"elapsed_ns\":%llu",
-        static_cast<unsigned long long>(node.Net()),
-        static_cast<unsigned long long>(node.Elapsed()));
-    if (node.forced_close) {
-      args += ",\"forced_close\":1";
-    }
-    args += "}";
-    std::string event = "{\"name\":";
-    AppendJsonString(node.fn->name, &event);
-    event += StrFormat(",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
-                       kPid, tid, UsecStr(node.entry_time).c_str(), UsecStr(dur).c_str(),
-                       args.c_str());
-    events->push_back(std::move(event));
+// One entry step as a slice ("X"), or an inline marker as an instant ("i").
+std::string StepEvent(const TraceStep& step) {
+  const int tid = step.stack_id + 1;
+  std::string event = "{\"name\":";
+  AppendJsonString(step.fn->name, &event);
+  if (step.inline_marker) {
+    event += StrFormat(",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\"}",
+                       kPid, tid, UsecStr(step.t).c_str());
+    return event;
   }
-  for (const auto& child : node.children) {
-    if (child != nullptr) {
-      EmitNode(*child, tid, trace_end, events);
-    }
+  const Nanoseconds dur = step.exit_time >= step.t ? step.exit_time - step.t : 0;
+  std::string args = StrFormat("{\"net_ns\":%llu,\"elapsed_ns\":%llu",
+                               static_cast<unsigned long long>(step.net),
+                               static_cast<unsigned long long>(step.elapsed));
+  if (step.forced_close) {
+    args += ",\"forced_close\":1";
   }
-}
-
-bool IsContextSwitchNode(const CallNode* node) {
-  return node != nullptr && node->fn != nullptr &&
-         node->fn->kind == TagKind::kContextSwitch;
+  args += "}";
+  event += StrFormat(",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
+                     kPid, tid, UsecStr(step.t).c_str(), UsecStr(dur).c_str(), args.c_str());
+  return event;
 }
 
 struct AnomalyRow {
@@ -108,15 +91,24 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
         kPid, stack->id + 1, stack->id));
   }
 
-  for (const auto& stack : decoded.stacks) {
-    if (stack->root != nullptr) {
-      EmitNode(*stack->root, stack->id + 1, decoded.end_time, &events);
+  // Slices per context in open order (each context's calls nest, so that is
+  // its tree's pre-order), the contexts in id order.
+  std::vector<std::vector<const TraceStep*>> by_stack(decoded.stacks.size());
+  for (const TraceStep& step : decoded.steps) {
+    if (!step.is_exit) {
+      by_stack[static_cast<std::size_t>(step.stack_id)].push_back(&step);
+    }
+  }
+  for (const auto& opened : by_stack) {
+    for (const TraceStep* step : opened) {
+      events.push_back(StepEvent(*step));
     }
   }
 
   // Cumulative idle / interrupt counter track, sampled at every context
-  // switch exit: the closing '!' node banks its net time as idle and its
-  // children's elapsed time as interrupt work taken during the idle window.
+  // switch exit: the closing '!' call banks its net time as idle and its
+  // subroutines' elapsed time (elapsed - net) as interrupt work taken during
+  // the idle window.
   Nanoseconds idle_cum = 0;
   Nanoseconds intr_cum = 0;
   std::vector<std::string> counter_events;
@@ -130,15 +122,11 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
   if (!decoded.steps.empty()) {
     counter_sample(decoded.start_time);
     for (const TraceStep& step : decoded.steps) {
-      if (!step.is_exit || !IsContextSwitchNode(step.node)) {
+      if (!step.is_exit || step.fn->kind != TagKind::kContextSwitch) {
         continue;
       }
-      idle_cum += step.node->Net();
-      for (const auto& child : step.node->children) {
-        if (child != nullptr && !child->inline_marker) {
-          intr_cum += child->Elapsed();
-        }
-      }
+      idle_cum += step.net;
+      intr_cum += step.elapsed - step.net;
       counter_sample(step.t);
     }
   }
@@ -189,19 +177,10 @@ namespace {
 
 void FoldNode(const CallNode& node, const std::string& prefix,
               std::map<std::string, std::uint64_t>* agg) {
-  std::string path = prefix;
-  if (node.fn != nullptr) {
-    if (node.inline_marker) {
-      return;  // markers carry no time
-    }
-    path += ";";
-    path += node.fn->name;
-    (*agg)[path] += static_cast<std::uint64_t>(node.Net());
-  }
   for (const auto& child : node.children) {
-    if (child != nullptr) {
-      FoldNode(*child, path, agg);
-    }
+    const std::string path = prefix + ";" + child->fn->name;
+    (*agg)[path] += static_cast<std::uint64_t>(child->net);
+    FoldNode(*child, path, agg);
   }
 }
 
@@ -210,9 +189,7 @@ void FoldNode(const CallNode& node, const std::string& prefix,
 std::string ExportFoldedStacks(const DecodedTrace& decoded) {
   std::map<std::string, std::uint64_t> agg;
   for (const auto& stack : decoded.stacks) {
-    if (stack->root != nullptr) {
-      FoldNode(*stack->root, StrFormat("context %d", stack->id), &agg);
-    }
+    FoldNode(*stack->root, StrFormat("context %d", stack->id), &agg);
   }
   std::string out;
   for (const auto& [path, net_ns] : agg) {

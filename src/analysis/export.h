@@ -3,14 +3,15 @@
 //    process (one track per ActivityStack), "i" instant events for inline
 //    markers and for every anomaly counter, and "C" counter tracks for
 //    cumulative idle and interrupt time — load the file at ui.perfetto.dev
-//    or chrome://tracing;
+//    or chrome://tracing. It reads the steps, so the decode must keep them
+//    all (StreamingOptions::step_lines = kAllSteps);
 //  * folded-stack text (`context 0;a;b 1234` per line) for flamegraph.pl /
-//    speedscope, weighted by net (exclusive, on-CPU) nanoseconds.
+//    speedscope, weighted by net (exclusive, on-CPU) nanoseconds, from the
+//    calling-context trees.
 //
 // Both renderings are byte-deterministic: integer-only formatting, fixed
-// walk order, map-sorted aggregation. Because serial and parallel decodes
-// are byte-identical by contract, an export is too, whatever --jobs built
-// the DecodedTrace (export_test locks this in).
+// walk order, map-sorted aggregation, whatever feed shape built the
+// DecodedTrace (export_test locks this in).
 //
 // Slice timestamps use the Chrome convention (microseconds) with exactly
 // three fractional digits; each slice also carries the exact nanosecond
@@ -35,7 +36,7 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded);
 // (rendered as a "telemetry: <name>" track at the capture's end time, so
 // pipeline counters line up against the slices that produced them). Only
 // counters are rendered: gauge levels and latency histograms are wall-clock
-// shaped and would break the serial-vs-parallel byte-identity contract.
+// shaped and would make the export differ from run to run.
 // Passing nullptr (or a snapshot with no counters) renders exactly the
 // single-argument form.
 std::string ExportTraceEventJson(const DecodedTrace& decoded,

@@ -6,13 +6,7 @@
 
 namespace hwprof {
 
-void Histogram::Add(std::uint64_t us) {
-  std::size_t bucket = 0;
-  while (bucket + 1 < kBuckets && BucketFloor(bucket + 1) <= us) {
-    ++bucket;
-  }
-  ++counts_[bucket];
-}
+void Histogram::Add(std::uint64_t us) { ++counts_[NetBucket(us)]; }
 
 std::uint64_t Histogram::Total() const {
   std::uint64_t total = 0;
@@ -49,12 +43,15 @@ std::string Histogram::Format(const std::string& title) const {
 
 namespace {
 
-void Walk(const CallNode& node, const std::string& name, Histogram* h) {
-  if (node.fn != nullptr && !node.inline_marker && node.fn->name == name) {
-    h->Add(ToWholeUsec(node.Net()));
-  }
+void Walk(const CallNode& node, const std::string& name,
+          std::array<std::uint64_t, Histogram::kBuckets>* counts) {
   for (const auto& child : node.children) {
-    Walk(*child, name, h);
+    if (child->fn->name == name) {
+      for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+        (*counts)[b] += child->net_histogram[b];
+      }
+    }
+    Walk(*child, name, counts);
   }
 }
 
@@ -63,7 +60,7 @@ void Walk(const CallNode& node, const std::string& name, Histogram* h) {
 Histogram Histogram::ForFunction(const DecodedTrace& trace, const std::string& name) {
   Histogram h;
   for (const auto& stack : trace.stacks) {
-    Walk(*stack->root, name, &h);
+    Walk(*stack->root, name, &h.counts_);
   }
   return h;
 }

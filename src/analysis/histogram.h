@@ -18,7 +18,7 @@ namespace hwprof {
 
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 24;  // 1 µs .. ~8 s in log2 steps
+  static constexpr std::size_t kBuckets = kNetBuckets;  // 1 µs .. ~8 s in log2 steps
 
   Histogram() { counts_.fill(0); }
 
@@ -32,8 +32,8 @@ class Histogram {
   // ASCII rendering, one row per non-empty bucket.
   std::string Format(const std::string& title) const;
 
-  // Builds the histogram of per-call net times for `name` by walking the
-  // decoded call trees.
+  // Builds the histogram of per-call net times for `name` from the decoded
+  // calling-context trees.
   static Histogram ForFunction(const DecodedTrace& trace, const std::string& name);
 
  private:

@@ -11,17 +11,12 @@ namespace {
 void Walk(const CallNode& node, Nanoseconds* busy, Nanoseconds* idle,
           std::uint64_t* calls, std::map<std::string, Nanoseconds>* per_fn) {
   for (const auto& child : node.children) {
-    if (child->fn == nullptr) {
-      continue;
-    }
-    if (!child->inline_marker) {
-      ++*calls;
-      if (child->fn->kind == TagKind::kContextSwitch) {
-        *idle += child->Net();
-      } else {
-        *busy += child->Net();
-        (*per_fn)[child->fn->name] += child->Net();
-      }
+    *calls += child->calls;
+    if (child->fn->kind == TagKind::kContextSwitch) {
+      *idle += child->net;
+    } else {
+      *busy += child->net;
+      (*per_fn)[child->fn->name] += child->net;
     }
     Walk(*child, busy, idle, calls, per_fn);
   }

@@ -1,4 +1,5 @@
-// Per-process CPU accounting from the decoded activity stacks.
+// Per-process CPU accounting from the decoded activity stacks' calling-context
+// trees.
 //
 // "The time between the exit of a call to swtch and the entry to the next
 // call of swtch is analysed as a contiguous block of processor activity...

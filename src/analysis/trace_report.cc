@@ -5,6 +5,8 @@
 namespace hwprof {
 namespace {
 
+constexpr int kIndentWidth = 4;  // spaces per nesting level
+
 std::string FormatStamp(Nanoseconds t) {
   const std::uint64_t us = ToWholeUsec(t);
   return StrFormat("%llu:%03llu %03llu", static_cast<unsigned long long>(us / 1000000),
@@ -22,9 +24,9 @@ std::string TraceReport::Format(const DecodedTrace& trace, TraceReportOptions op
       out += "...\n";
       break;
     }
-    const CallNode* node = step.node;
     const Nanoseconds rel = step.t - trace.start_time;
-    const std::string indent(static_cast<std::size_t>(step.depth * options.indent_width), ' ');
+    const std::string indent(static_cast<std::size_t>(step.depth * kIndentWidth), ' ');
+    const char* name = step.fn->name.c_str();
 
     if (step.is_exit && step.context_switch_in) {
       out += StrFormat("%s <-  ---- Context switch in ----\n", FormatStamp(rel).c_str());
@@ -35,23 +37,21 @@ std::string TraceReport::Format(const DecodedTrace& trace, TraceReportOptions op
       }
     }
 
-    if (node->inline_marker) {
-      out += StrFormat("%s %s== %s\n", FormatStamp(rel).c_str(), indent.c_str(),
-                       node->fn->name.c_str());
+    if (step.inline_marker) {
+      out += StrFormat("%s %s== %s\n", FormatStamp(rel).c_str(), indent.c_str(), name);
       ++lines;
       continue;
     }
 
+    const std::uint64_t net_us = ToWholeUsec(step.net);
+    const std::uint64_t total_us = ToWholeUsec(step.elapsed);
     if (!step.is_exit) {
-      const std::uint64_t net_us = ToWholeUsec(node->Net());
-      const std::uint64_t total_us = ToWholeUsec(node->Elapsed());
-      if (node->children.empty()) {
+      if (!step.has_children) {
         out += StrFormat("%s %s-> %s (%llu us)\n", FormatStamp(rel).c_str(), indent.c_str(),
-                         node->fn->name.c_str(), static_cast<unsigned long long>(net_us));
+                         name, static_cast<unsigned long long>(net_us));
       } else {
         out += StrFormat("%s %s-> %s (%llu us, %llu total)\n", FormatStamp(rel).c_str(),
-                         indent.c_str(), node->fn->name.c_str(),
-                         static_cast<unsigned long long>(net_us),
+                         indent.c_str(), name, static_cast<unsigned long long>(net_us),
                          static_cast<unsigned long long>(total_us));
       }
       ++lines;
@@ -60,14 +60,11 @@ std::string TraceReport::Format(const DecodedTrace& trace, TraceReportOptions op
 
     // Exit lines: only for calls with subroutines (the entry line already
     // carries the times of leaf calls), or when crossing a context switch.
-    if (options.show_exits && (!node->children.empty() || step.context_switch_in)) {
-      const std::uint64_t net_us = ToWholeUsec(node->Net());
-      const std::uint64_t total_us = ToWholeUsec(node->Elapsed());
+    if (step.has_children || step.context_switch_in) {
       out += StrFormat("%s %s<- %s (%llu us, %llu total)%s\n", FormatStamp(rel).c_str(),
-                       indent.c_str(), node->fn->name.c_str(),
-                       static_cast<unsigned long long>(net_us),
+                       indent.c_str(), name, static_cast<unsigned long long>(net_us),
                        static_cast<unsigned long long>(total_us),
-                       node->forced_close ? " [truncated]" : "");
+                       step.forced_close ? " [truncated]" : "");
       ++lines;
     }
   }

@@ -21,14 +21,14 @@
 namespace hwprof {
 
 struct TraceReportOptions {
-  std::size_t max_lines = 0;   // 0 = unlimited
-  bool show_exits = true;      // exit lines for calls with children
-  int indent_width = 4;
+  std::size_t max_lines = 0;  // 0 = unlimited
 };
 
 class TraceReport {
  public:
-  // Renders the chronological code-path trace of `trace`.
+  // Renders the chronological code-path trace of `trace`. The decode must
+  // have kept the steps of at least `max_lines` lines
+  // (StreamingOptions::step_lines; 0 lines means every step).
   static std::string Format(const DecodedTrace& trace,
                             TraceReportOptions options = TraceReportOptions{});
 };

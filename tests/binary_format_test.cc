@@ -29,7 +29,6 @@
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/export.h"
-#include "src/analysis/parallel.h"
 #include "src/base/crc32.h"
 #include "src/base/mmap_file.h"
 #include "src/base/rng.h"
@@ -51,22 +50,11 @@ namespace {
 // --- Decode-path helpers (the binary twins of fault_injection_test's) --------
 
 DecodedTrace DecodeBinarySerial(const std::string& bytes, const TagFile& names,
-                                bool salvage = false) {
+                                bool salvage = false,
+                                StreamingOptions keep = {.retain_structure = true}) {
   CaptureReader reader(bytes, salvage);
   HWPROF_CHECK(reader.header_ok());
-  return StreamingDecoder(names, reader.timer_bits(), reader.timer_clock_hz(),
-                          StreamingOptions{.retain_structure = true})
-      .DecodeAll(reader);
-}
-
-DecodedTrace DecodeBinaryParallel(const std::string& bytes, const TagFile& names,
-                                  unsigned jobs, std::size_t shard_target) {
-  CaptureReader reader(bytes, /*salvage=*/false);
-  HWPROF_CHECK(reader.header_ok());
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  opts.shard_target_ops = shard_target;
-  return ParallelAnalyzer(names, reader.timer_bits(), reader.timer_clock_hz(), opts)
+  return StreamingDecoder(names, reader.timer_bits(), reader.timer_clock_hz(), keep)
       .DecodeAll(reader);
 }
 
@@ -248,17 +236,13 @@ TEST_P(BinaryRoundTripFuzzTest, BinaryDecodeMatchesTextDecodeOnEveryPath) {
     raw.capture_elapsed_ns = 40'000'000'000ull;
   }
   const std::string bin = EncodeCaptureBinary(raw);
-  const std::string serial = Fingerprint(Decoder::Decode(raw, names));
-
-  ASSERT_EQ(Fingerprint(DecodeBinarySerial(bin, names)), serial)
-      << "binary serial, seed " << seed;
-  for (unsigned jobs : {1u, 2u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ASSERT_EQ(Fingerprint(DecodeBinaryParallel(bin, names, jobs, target)),
-                serial)
-          << "binary jobs=" << jobs << " target=" << target << " seed " << seed;
-    }
-  }
+  const DecodedTrace text_decode = Decoder::Decode(raw, names);
+  ExpectEveryModeAgrees(
+      text_decode,
+      [&](const StreamingOptions& keep) {
+        return DecodeBinarySerial(bin, names, /*salvage=*/false, keep);
+      },
+      "binary, seed " + std::to_string(seed));
 
   // Chunked-stream path: the same events as a binary *stream* container with
   // seeded random bank boundaries (the stream header carries no
@@ -309,24 +293,16 @@ TEST_P(BinaryRoundTripFuzzTest, RandomBinaryDamageNeverCrashesAndSalvages) {
   ASSERT_TRUE(ReadCaptureBytes(damaged, /*salvage=*/true, &salvaged, &salvage_diags,
                                          &corrupt_words))
       << "seed " << seed;
-  StreamingDecoder decoder(names, salvaged.timer_bits, salvaged.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
-  decoder.NoteCorruptWords(corrupt_words);
-  decoder.NoteDropped(salvaged.dropped_events);
-  decoder.SetClockEnvelope(salvaged.capture_elapsed_ns);
-  decoder.Feed(salvaged.events);
-  const std::string serial = Fingerprint(decoder.Finish(salvaged.overflowed));
-  ParallelOptions opts;
-  opts.jobs = 8;
-  opts.shard_target_ops = 64;
-  ParallelAnalyzer analyzer(names, salvaged.timer_bits, salvaged.timer_clock_hz,
-                            opts);
-  analyzer.NoteCorruptWords(corrupt_words);
-  analyzer.NoteDropped(salvaged.dropped_events);
-  analyzer.SetClockEnvelope(salvaged.capture_elapsed_ns);
-  analyzer.Feed(salvaged.events);
-  EXPECT_EQ(Fingerprint(analyzer.Finish(salvaged.overflowed)), serial)
-      << "salvage parallel, seed " << seed;
+  auto decode = [&](const StreamingOptions& keep) {
+    StreamingDecoder decoder(names, salvaged.timer_bits, salvaged.timer_clock_hz, keep);
+    decoder.NoteCorruptWords(corrupt_words);
+    decoder.NoteDropped(salvaged.dropped_events);
+    decoder.SetClockEnvelope(salvaged.capture_elapsed_ns);
+    decoder.Feed(salvaged.events);
+    return decoder.Finish(salvaged.overflowed);
+  };
+  ExpectEveryModeAgrees(decode(StreamingOptions{.retain_structure = true}), decode,
+                        "salvage, seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryRoundTripFuzzTest,

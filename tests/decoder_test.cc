@@ -95,9 +95,9 @@ TEST(Decoder, InlineMarkersDoNotConsumeTime) {
   // The marker appears in the steps.
   bool saw_mark = false;
   for (const TraceStep& s : d.steps) {
-    if (s.node->fn != nullptr && s.node->fn->name == "MARK") {
+    if (s.fn->name == "MARK") {
       saw_mark = true;
-      EXPECT_TRUE(s.node->inline_marker);
+      EXPECT_TRUE(s.inline_marker);
     }
   }
   EXPECT_TRUE(saw_mark);

@@ -17,7 +17,6 @@
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
 #include "src/analysis/grouping.h"
-#include "src/analysis/parallel.h"
 #include "src/base/assert.h"
 #include "src/profhw/smart_socket.h"
 #include "tests/trace_testutil.h"
@@ -322,7 +321,7 @@ TEST(TraceDiff, GateNetDemotesEdgeRowsToAdvisory) {
 
 // --- Determinism ------------------------------------------------------------------
 
-TEST(DiffDeterminism, ByteIdenticalAcrossDecodePaths) {
+TEST(DiffDeterminism, ByteIdenticalAcrossFeedShapes) {
   const RawTrace raw_a = FuzzTrace(11, 4000);
   const RawTrace raw_b = FuzzTrace(22, 4000);
   const TagFile& names = MakeNames();
@@ -335,17 +334,16 @@ TEST(DiffDeterminism, ByteIdenticalAcrossDecodePaths) {
   const std::string text = serial.FormatText();
   const std::string json = serial.FormatJson();
 
-  for (unsigned jobs : {1u, 2u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ParallelOptions popts;
-      popts.jobs = jobs;
-      popts.shard_target_ops = target;
-      const DecodedTrace par_a = DecodeParallel(raw_a, names, popts);
-      const DecodedTrace par_b = DecodeParallel(raw_b, names, popts);
-      const TraceDiff par(par_a, par_b, groups, options);
-      EXPECT_EQ(par.FormatText(), text) << "jobs=" << jobs << " target=" << target;
-      EXPECT_EQ(par.FormatJson(), json) << "jobs=" << jobs << " target=" << target;
-    }
+  // What --diff decodes: the context trees, no steps, fed in slices.
+  const StreamingOptions keep{.retain_structure = true, .step_lines = 0};
+  for (std::uint64_t split_seed : {1u, 7u}) {
+    StreamingDecoder engine_a(names, raw_a.timer_bits, raw_a.timer_clock_hz, keep);
+    StreamingDecoder engine_b(names, raw_b.timer_bits, raw_b.timer_clock_hz, keep);
+    const DecodedTrace sliced_a = FeedShaped(engine_a, raw_a, split_seed);
+    const DecodedTrace sliced_b = FeedShaped(engine_b, raw_b, split_seed);
+    const TraceDiff sliced(sliced_a, sliced_b, groups, options);
+    EXPECT_EQ(sliced.FormatText(), text) << "split seed " << split_seed;
+    EXPECT_EQ(sliced.FormatJson(), json) << "split seed " << split_seed;
   }
 }
 

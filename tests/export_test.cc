@@ -18,7 +18,6 @@
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/export.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/fault_injection.h"
@@ -64,14 +63,15 @@ void CheckGolden(const std::string& name, const std::string& actual) {
 }
 
 // The golden net-receive capture (same parameters as golden_test's
-// ReferenceDecode), decoded serially and with the parallel engine at 1 and
-// 8 workers. The testbed outlives the decodes: they point into its TagFile.
+// ReferenceDecode), decoded one-shot, fed in slices, and keeping only the
+// context trees (what the folded export decodes). The testbed outlives the
+// decodes: they point into its TagFile.
 struct NetReceive {
   Testbed tb;
   RawTrace raw;
   DecodedTrace serial;
-  DecodedTrace jobs1;
-  DecodedTrace jobs8;
+  DecodedTrace sliced;
+  DecodedTrace contexts;
 };
 
 NetReceive& NetReceiveDecode() {
@@ -81,9 +81,12 @@ NetReceive& NetReceiveDecode() {
     RunNetworkReceive(d->tb, Sec(2), 128 * 1024, false);
     d->raw = d->tb.StopAndUpload();
     d->serial = Decoder::Decode(d->raw, d->tb.tags());
-    d->jobs1 = DecodeParallel(d->raw, d->tb.tags(), ParallelOptions{.jobs = 1});
-    d->jobs8 = DecodeParallel(d->raw, d->tb.tags(),
-                              ParallelOptions{.jobs = 8, .shard_target_ops = 512});
+    StreamingDecoder sliced(d->tb.tags(), d->raw.timer_bits, d->raw.timer_clock_hz,
+                            StreamingOptions{.retain_structure = true});
+    d->sliced = FeedShaped(sliced, d->raw, /*split_seed=*/3);
+    StreamingDecoder contexts(d->tb.tags(), d->raw.timer_bits, d->raw.timer_clock_hz,
+                              StreamingOptions{.retain_structure = true, .step_lines = 0});
+    d->contexts = FeedShaped(contexts, d->raw, /*split_seed=*/0);
     return d;
   }();
   return *decoded;
@@ -99,16 +102,15 @@ TEST(Export, NetReceiveTraceEventJsonIsValid) {
   EXPECT_GT(totals.counter_samples, 0u);
 }
 
-TEST(Export, ByteIdenticalAcrossJobs) {
+TEST(Export, ByteIdenticalAcrossFeedShapesAndModes) {
   const NetReceive& d = NetReceiveDecode();
-  const std::string json = ExportTraceEventJson(d.serial);
-  EXPECT_EQ(ExportTraceEventJson(d.jobs1), json)
-      << "--jobs 1 export diverged from serial";
-  EXPECT_EQ(ExportTraceEventJson(d.jobs8), json)
-      << "--jobs 8 export diverged from serial";
+  EXPECT_EQ(ExportTraceEventJson(d.sliced), ExportTraceEventJson(d.serial))
+      << "sliced-feed export diverged from one-shot";
   const std::string folded = ExportFoldedStacks(d.serial);
-  EXPECT_EQ(ExportFoldedStacks(d.jobs1), folded);
-  EXPECT_EQ(ExportFoldedStacks(d.jobs8), folded);
+  EXPECT_EQ(ExportFoldedStacks(d.sliced), folded);
+  EXPECT_EQ(ExportFoldedStacks(d.contexts), folded)
+      << "folded export from the context trees alone diverged";
+  EXPECT_TRUE(d.contexts.steps.empty());
 }
 
 TEST(Export, SliceTotalsMatchDecoderAndSummary) {
@@ -333,8 +335,8 @@ TEST(ExportCli, TelemetryTracksAreByteIdenticalAcrossJobs) {
   // The registry is process-global; reset before each run so the rendered
   // counts reflect exactly one decode, the way a fresh CLI process sees
   // them. The allowlisted counters (decode.anomaly.*, decode.finishes,
-  // socket.*) are recorded identically by both engines, so the --telemetry
-  // export must stay byte-identical at every --jobs.
+  // socket.*) depend on the capture alone, so the --telemetry export must
+  // stay byte-identical at every --jobs.
   const std::string out1 = TempPath("out_tel_jobs1.json");
   const std::string out8 = TempPath("out_tel_jobs8.json");
   std::string error;

@@ -2,9 +2,10 @@
 // fault-injected capture (bit flips, drops, duplicates, stuck
 // address-counter runs, timer glitches, truncated drains — and text-level
 // corruption of the upload file) must decode to byte-identical observables
-// — including the typed anomaly counters — across the serial decoder, the
-// chunk-fed streaming decoder, and the parallel sharded engine at several
-// worker counts and shard sizes. No injected fault may crash any path.
+// — including the typed anomaly counters — across the one-shot decoder, the
+// chunk-fed streaming decoder, and every decode mode (stats only, the
+// calling-context trees, bounded steps). No injected fault may crash any
+// path.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/process_report.h"
 #include "src/base/rng.h"
@@ -27,9 +27,9 @@ namespace {
 // Mirrors the batch wrappers with salvage corrupt-word injection: what
 // hwprof_analyze --salvage runs.
 DecodedTrace DecodeSerial(const RawTrace& raw, const TagFile& names,
-                          std::uint64_t corrupt_words) {
-  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
+                          std::uint64_t corrupt_words,
+                          StreamingOptions keep = {.retain_structure = true}) {
+  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz, keep);
   decoder.NoteCorruptWords(corrupt_words);
   decoder.NoteDropped(raw.dropped_events);
   decoder.SetClockEnvelope(raw.capture_elapsed_ns);
@@ -56,38 +56,21 @@ DecodedTrace DecodeChunked(const RawTrace& raw, const TagFile& names,
   return decoder.Finish(raw.overflowed);
 }
 
-DecodedTrace DecodeParallelJobs(const RawTrace& raw, const TagFile& names,
-                                std::uint64_t corrupt_words, unsigned jobs,
-                                std::size_t shard_target) {
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  opts.shard_target_ops = shard_target;
-  ParallelAnalyzer analyzer(names, raw.timer_bits, raw.timer_clock_hz, opts);
-  analyzer.NoteCorruptWords(corrupt_words);
-  analyzer.NoteDropped(raw.dropped_events);
-  analyzer.SetClockEnvelope(raw.capture_elapsed_ns);
-  analyzer.Feed(raw.events);
-  return analyzer.Finish(raw.overflowed);
-}
-
 // The tentpole contract: anomaly counts and every other observable are
-// byte-identical across serial, streaming, and parallel (--jobs N) paths.
+// byte-identical across one-shot and chunked feeds, and every decode mode
+// renders what it keeps exactly as a decode that kept everything.
 void ExpectAllPathsAgree(const RawTrace& raw, const TagFile& names,
                          std::uint64_t corrupt_words, const std::string& what) {
-  const std::string serial = Fingerprint(DecodeSerial(raw, names, corrupt_words));
+  const DecodedTrace serial = DecodeSerial(raw, names, corrupt_words);
   for (std::uint64_t chunk_seed : {1u, 77u}) {
     ASSERT_EQ(Fingerprint(DecodeChunked(raw, names, corrupt_words, chunk_seed)),
-              serial)
+              Fingerprint(serial))
         << what << " chunk_seed=" << chunk_seed;
   }
-  for (unsigned jobs : {1u, 2u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ASSERT_EQ(
-          Fingerprint(DecodeParallelJobs(raw, names, corrupt_words, jobs, target)),
-          serial)
-          << what << " jobs=" << jobs << " shard_target_ops=" << target;
-    }
-  }
+  ExpectEveryModeAgrees(
+      serial,
+      [&](const StreamingOptions& keep) { return DecodeSerial(raw, names, corrupt_words, keep); },
+      what);
 }
 
 class FaultPlanFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
 #include "src/base/assert.h"
@@ -88,14 +87,15 @@ TEST(Golden, Figure4CodePathTraceOfTheNetworkReceive) {
   CheckGolden("net_receive_trace.txt", TraceReport::Format(ReferenceDecode(), opts));
 }
 
-// Captures for the Table 1 and Figure 5 goldens, each decoded through BOTH
-// the serial decoder and the parallel sharded engine: the golden file pins
-// the report, and the second decode pins the serial/parallel equivalence on
-// a real workload (small shards force actual stitching).
+// Captures for the Table 1 and Figure 5 goldens, each decoded twice: in
+// full, and keeping only what the tool keeps for that report (the stats for
+// the summary, the steps of the first 160 lines for the trace). The golden
+// file pins the report, and the second decode pins that the bounded
+// decode renders it identically on a real workload.
 struct DualDecode {
   Testbed tb;
   DecodedTrace serial;
-  DecodedTrace parallel;
+  DecodedTrace bounded;
 };
 
 const DualDecode& MixedDecode() {
@@ -105,8 +105,9 @@ const DualDecode& MixedDecode() {
     RunMixed(d->tb, Msec(300));
     const RawTrace raw = d->tb.StopAndUpload();
     d->serial = Decoder::Decode(raw, d->tb.tags());
-    d->parallel = DecodeParallel(raw, d->tb.tags(),
-                                 ParallelOptions{.jobs = 4, .shard_target_ops = 512});
+    d->bounded = StreamingDecoder(d->tb.tags(), raw.timer_bits, raw.timer_clock_hz,
+                                  StreamingOptions{.retain_structure = false})
+                     .DecodeAll(raw);
     return d;
   }();
   return *decoded;
@@ -119,8 +120,9 @@ const DualDecode& ForkExecDecode() {
     RunForkExec(d->tb, 3, Sec(2));
     const RawTrace raw = d->tb.StopAndUpload();
     d->serial = Decoder::Decode(raw, d->tb.tags());
-    d->parallel = DecodeParallel(raw, d->tb.tags(),
-                                 ParallelOptions{.jobs = 4, .shard_target_ops = 512});
+    d->bounded = StreamingDecoder(d->tb.tags(), raw.timer_bits, raw.timer_clock_hz,
+                                  StreamingOptions{.retain_structure = true, .step_lines = 160})
+                     .DecodeAll(raw);
     return d;
   }();
   return *decoded;
@@ -128,8 +130,8 @@ const DualDecode& ForkExecDecode() {
 
 TEST(Golden, Table1PerFunctionTimingsOfTheMixedWorkload) {
   const std::string report = Summary(MixedDecode().serial).Format(30);
-  EXPECT_EQ(Summary(MixedDecode().parallel).Format(30), report)
-      << "parallel decode diverged from serial on the mixed capture";
+  EXPECT_EQ(Summary(MixedDecode().bounded).Format(30), report)
+      << "stats-only decode diverged from the full one on the mixed capture";
   CheckGolden("mixed_summary.txt", report);
 }
 
@@ -137,8 +139,9 @@ TEST(Golden, Figure5ForkExecCodePath) {
   TraceReportOptions opts;
   opts.max_lines = 160;
   const std::string report = TraceReport::Format(ForkExecDecode().serial, opts);
-  EXPECT_EQ(TraceReport::Format(ForkExecDecode().parallel, opts), report)
-      << "parallel decode diverged from serial on the fork/exec capture";
+  EXPECT_EQ(TraceReport::Format(ForkExecDecode().bounded, opts), report)
+      << "bounded-steps decode diverged from the full one on the fork/exec capture";
+  EXPECT_LT(ForkExecDecode().bounded.steps.size(), ForkExecDecode().serial.steps.size());
   CheckGolden("fork_exec_trace.txt", report);
 }
 

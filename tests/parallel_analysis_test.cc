@@ -1,22 +1,20 @@
-// Differential-equivalence harness for the parallel sharded analysis
-// engine: for ANY capture — hand-built context-switch traces, fuzzed
-// adversarial traces with anomaly injection, chunked streaming feeds with
-// capture gaps, and a real workload capture — DecodeParallel must be
-// byte-identical to the serial Decoder across every worker count and shard
-// size. "Byte-identical" means every rendered report (summary, callgraph,
-// process report, code-path trace) and every anomaly/truncation counter,
-// not just the headline numbers.
+// Feed-shape and decode-mode oracle for the one decode engine: for ANY
+// capture — hand-built context-switch traces, fuzzed adversarial traces with
+// anomaly injection, chunked streaming feeds with capture gaps, and a real
+// workload capture — a decode fed in chunks must be byte-identical to the
+// one-shot batch Decoder, and every decode mode (stats only, the
+// calling-context trees, bounded steps, every step) must agree with it on
+// every report that mode can render: summary, call graph, process report,
+// histograms, folded stacks, code-path trace, trace-event export, and every
+// anomaly/truncation counter, not just the headline numbers.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/base/rng.h"
-#include "src/base/thread_pool.h"
 #include "src/instr/tag_file.h"
 #include "src/profhw/raw_trace.h"
 #include "src/workloads/testbed.h"
@@ -27,8 +25,8 @@ namespace hwprof {
 namespace {
 
 // Context-switch-heavy reference traces: suspended stacks, lookahead
-// resolution, orphans, unknown tags, truncation — the cases where shard
-// stitching has to reproduce cross-cut state exactly.
+// resolution, orphans, unknown tags, truncation — the cases where chunk
+// boundaries and decode modes have to reproduce cross-event state exactly.
 std::vector<RawTrace> ReferenceTraces() {
   std::vector<RawTrace> traces;
   traces.push_back(Trace({{100, 10}, {101, 60}}));
@@ -66,31 +64,30 @@ std::vector<RawTrace> ReferenceTraces() {
   return traces;
 }
 
-TEST(ParallelAnalysis, ReferenceTracesMatchSerialExactly) {
+TEST(FeedShape, ReferenceTracesAgreeInEveryShapeAndMode) {
   const TagFile& names = MakeNames();
   int i = 0;
   for (const RawTrace& raw : ReferenceTraces()) {
-    ExpectParallelMatchesSerial(raw, names, "reference trace " + std::to_string(i++));
+    ExpectFeedShapesAgree(raw, names, "reference trace " + std::to_string(i++));
   }
 }
 
-class ParallelFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+class FeedShapeFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ParallelFuzzTest, FuzzedTraceMatchesSerialAcrossJobsAndShardSizes) {
+TEST_P(FeedShapeFuzzTest, FuzzedTraceAgreesInEveryShapeAndMode) {
   const TagFile& names = MakeNames();
   const RawTrace raw = FuzzTrace(GetParam(), 800);
-  ExpectParallelMatchesSerial(raw, names, "seed " + std::to_string(GetParam()),
-                              GetParam());
+  ExpectFeedShapesAgree(raw, names, "seed " + std::to_string(GetParam()), GetParam());
 }
 
-TEST_P(ParallelFuzzTest, ChunkedFeedWithDropsMatchesStreamingDecoder) {
+TEST_P(FeedShapeFuzzTest, ChunkedFeedWithDropsMatchesOneShot) {
   const TagFile& names = MakeNames();
   Rng rng(GetParam() * 6151 + 3);
   const RawTrace raw = FuzzTrace(GetParam() + 500, 500);
 
-  // Random chunking with occasional capture gaps, fed identically to the
-  // serial streaming decoder (retaining structure) and the parallel
-  // analyzer.
+  // Random chunking with occasional capture gaps. A drop changes only the
+  // gap accounting, so the one-shot feed notes each chunk's drops and then
+  // takes every event at once.
   std::vector<TraceChunk> chunks;
   std::size_t at = 0;
   while (at < raw.events.size()) {
@@ -102,97 +99,49 @@ TEST_P(ParallelFuzzTest, ChunkedFeedWithDropsMatchesStreamingDecoder) {
     at += n;
     chunks.push_back(std::move(chunk));
   }
-
-  StreamingOptions sopts;
-  sopts.retain_structure = true;
-  StreamingDecoder serial(names, raw.timer_bits, raw.timer_clock_hz, sopts);
-  ParallelOptions popts;
-  popts.jobs = 3;
-  popts.shard_target_ops = 32;
-  ParallelAnalyzer par(names, raw.timer_bits, raw.timer_clock_hz, popts);
+  StreamingDecoder one_shot(names, raw.timer_bits, raw.timer_clock_hz,
+                            StreamingOptions{.retain_structure = true});
   for (const TraceChunk& chunk : chunks) {
-    serial.FeedChunk(chunk);
-    par.FeedChunk(chunk);
+    one_shot.NoteDropped(chunk.dropped_before);
   }
-  EXPECT_EQ(par.events_seen(), serial.events_seen());
-  EXPECT_EQ(par.dropped_events(), serial.dropped_events());
-  EXPECT_EQ(Fingerprint(par.Finish(raw.overflowed)),
-            Fingerprint(serial.Finish(raw.overflowed)))
-      << "seed " << GetParam();
+  one_shot.Feed(raw.events);
+  const DecodedTrace reference = one_shot.Finish(raw.overflowed);
+  ExpectEveryModeAgrees(
+      reference,
+      [&](const StreamingOptions& keep) {
+        StreamingDecoder chunked(names, raw.timer_bits, raw.timer_clock_hz, keep);
+        for (const TraceChunk& chunk : chunks) {
+          chunked.FeedChunk(chunk);
+        }
+        EXPECT_EQ(chunked.events_seen(), reference.event_count);
+        EXPECT_EQ(chunked.dropped_events(), reference.dropped_events);
+        return chunked.Finish(raw.overflowed);
+      },
+      "chunked, seed " + std::to_string(GetParam()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelFuzzTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, FeedShapeFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u,
                                            11u, 12u, 13u, 21u, 34u, 42u, 55u, 89u,
                                            144u, 233u, 1993u, 4096u));
 
-TEST(ParallelAnalysis, WorkloadCaptureMatchesSerial) {
+TEST(FeedShape, WorkloadCaptureAgreesInEveryShapeAndMode) {
   Testbed tb;
   tb.Arm();
   RunNetworkReceive(tb, Msec(200), 32 * 1024, false);
   const RawTrace raw = tb.StopAndUpload();
   ASSERT_GT(raw.events.size(), 100u);
-  const std::string serial = Fingerprint(Decoder::Decode(raw, tb.tags()));
-  for (unsigned jobs : {1u, 8u}) {
-    ParallelOptions opts;
-    opts.jobs = jobs;
-    opts.shard_target_ops = 256;
-    EXPECT_EQ(Fingerprint(DecodeParallel(raw, tb.tags(), opts)), serial)
-        << "jobs=" << jobs;
-  }
+  ExpectFeedShapesAgree(raw, tb.tags(), "network receive", /*split_seed=*/5);
 }
 
-TEST(ParallelAnalysis, ManyShardsAreActuallyPlanned) {
-  // Sanity that the equivalence above is not vacuous: small shard targets on
-  // a switch-heavy trace must produce several shards.
+TEST(FeedShape, EmptyFeedIsHarmless) {
   const TagFile& names = MakeNames();
-  const RawTrace raw = FuzzTrace(7, 800);
-  ParallelOptions opts;
-  opts.jobs = 2;
-  opts.shard_target_ops = 16;
-  ParallelAnalyzer par(names, raw.timer_bits, raw.timer_clock_hz, opts);
-  par.Feed(raw.events);
-  const std::size_t planned = par.shards_planned();
-  EXPECT_GE(planned, 4u);
-  (void)par.Finish(raw.overflowed);
-}
-
-TEST(ParallelAnalysis, EmptyFeedIsHarmless) {
-  const TagFile& names = MakeNames();
-  ParallelAnalyzer par(names);
-  par.Feed(nullptr, 0);
-  par.FeedChunk(TraceChunk{});
-  const DecodedTrace d = par.Finish();
+  StreamingDecoder decoder(names, 24, 1'000'000, StreamingOptions{.retain_structure = true});
+  decoder.Feed(nullptr, 0);
+  decoder.FeedChunk(TraceChunk{});
+  const DecodedTrace d = decoder.Finish();
   EXPECT_EQ(d.event_count, 0u);
   EXPECT_TRUE(d.per_function.empty());
-}
-
-// --- ThreadPool ------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-  EXPECT_GE(ThreadPool::DefaultJobs(), 1u);
-  for (unsigned workers : {1u, 4u}) {
-    ThreadPool pool(workers);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i) {
-      pool.Submit([&sum, i] { sum.fetch_add(i); });
-    }
-    pool.WaitIdle();
-    EXPECT_EQ(sum.load(), 5050) << "workers=" << workers;
-  }
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.WaitIdle();  // idle pool: returns immediately
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.WaitIdle();
-    EXPECT_EQ(count.load(), 20 * (round + 1));
-  }
 }
 
 }  // namespace

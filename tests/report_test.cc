@@ -98,9 +98,7 @@ TEST(TraceReport, ShowsEntriesExitsAndContextSwitch) {
 
 TEST(TraceReport, IndentationTracksDepth) {
   DecodedTrace d = MakeDecoded();
-  TraceReportOptions opts;
-  opts.indent_width = 4;
-  const std::string text = TraceReport::Format(d, opts);
+  const std::string text = TraceReport::Format(d);
   // beta nested under alpha: its line is indented deeper.
   const auto alpha_at = text.find("-> alpha");
   const auto beta_at = text.find("-> beta");

@@ -403,20 +403,39 @@ TEST(AnalyzeCli, StatsOnlyReportsDecodeBoundedInlineAtAnyJobs) {
   EXPECT_EQ(MetricCount("decode.steps_retained"), 0u) << "the stats-only decode built trees";
 }
 
-TEST(AnalyzeCli, StructureReportsStillShardAtJobs) {
+TEST(AnalyzeCli, StructureReportsDecodeInlineAndKeepOnlyWhatTheyRead) {
   const CliFiles files = WriteSessionFiles();
   std::string error;
   obs::ResetTelemetry();
   ::testing::internal::CaptureStdout();
-  const int rc = RunCli({files.capture.c_str(), files.names.c_str(), "--jobs", "2",
-                         "--callgraph", "5", "--stats"},
-                        &error);
-  const std::string out = ::testing::internal::GetCapturedStdout();
+  int rc = RunCli({files.capture.c_str(), files.names.c_str(), "--jobs", "2", "--callgraph",
+                   "5", "--stats"},
+                  &error);
+  std::string out = ::testing::internal::GetCapturedStdout();
   ASSERT_EQ(rc, 0) << error;
-  EXPECT_NE(out.find("parallel.finish "), std::string::npos) << out;
-  EXPECT_EQ(MetricCount("parallel.finish"), 1u);
-  EXPECT_GE(MetricCount("parallel.shards").value_or(0), 1u);
-  EXPECT_GT(MetricCount("decode.steps_retained").value_or(0), 0u);
+  // One inline decode, whatever --jobs says: no parallel.* metric at all.
+  EXPECT_NE(out.find("decode.finish "), std::string::npos) << out;
+  EXPECT_EQ(MetricCount("decode.finish"), 1u);
+  EXPECT_EQ(out.find("parallel."), std::string::npos) << out;
+  // The call graph reads the context trees, not the steps.
+  EXPECT_GT(MetricCount("decode.contexts_retained").value_or(0), 0u);
+  EXPECT_EQ(MetricCount("decode.steps_retained"), 0u);
+
+  obs::ResetTelemetry();
+  ::testing::internal::CaptureStdout();
+  rc = RunCli({files.capture.c_str(), files.names.c_str(), "--trace", "5", "--stats"}, &error);
+  out = ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0) << error;
+  const std::uint64_t five_lines = MetricCount("decode.steps_retained").value_or(0);
+  EXPECT_GT(five_lines, 0u);
+
+  // `--trace 0` renders every line, so it keeps every step.
+  obs::ResetTelemetry();
+  ::testing::internal::CaptureStdout();
+  rc = RunCli({files.capture.c_str(), files.names.c_str(), "--trace", "0", "--stats"}, &error);
+  out = ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0) << error;
+  EXPECT_LT(five_lines, MetricCount("decode.steps_retained").value_or(0));
 }
 
 TEST(AnalyzeCli, FollowProgressEmitsAHeartbeatPerChunk) {

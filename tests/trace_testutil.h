@@ -1,9 +1,9 @@
 // Shared helpers for the differential-equivalence tests: a small names
-// file, adversarial fuzz-trace generators, and a fingerprint that renders
-// EVERY observable of a decoded trace — all four reports plus every counter
-// and attribution map — to one comparable string. Inline and sharded replay
-// of the same capture, fed in any shape, must produce byte-identical
-// fingerprints; the fuzz suites assert exactly that.
+// file, adversarial fuzz-trace generators, and fingerprints that render
+// EVERY observable of a decoded trace — every report plus every counter and
+// attribution map — to one comparable string. The same capture, fed in any
+// shape and decoded in any mode, must produce byte-identical fingerprints of
+// what that mode keeps; the fuzz suites assert exactly that.
 
 #ifndef HWPROF_TESTS_TRACE_TESTUTIL_H_
 #define HWPROF_TESTS_TRACE_TESTUTIL_H_
@@ -18,7 +18,8 @@
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
+#include "src/analysis/export.h"
+#include "src/analysis/histogram.h"
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
@@ -98,13 +99,83 @@ inline std::string StatsFingerprint(const DecodedTrace& d) {
   return out;
 }
 
-inline std::string Fingerprint(const DecodedTrace& d) {
+// Everything a decode that kept the calling-context trees but no steps must
+// get right: the stats, plus every report read from the trees.
+inline std::string ContextsFingerprint(const DecodedTrace& d) {
   std::string out = StatsFingerprint(d);
   out += "\n--callgraph--\n" + CallGraph(d).Format(d);
   out += "\n--processes--\n" + ProcessReport(d).Format(d);
+  out += "\n--histograms--\n";
+  for (const auto& [name, stats] : d.per_function) {
+    out += Histogram::ForFunction(d, name).Format(name);
+  }
+  out += "\n--folded--\n" + ExportFoldedStacks(d);
+  return out;
+}
+
+// Every observable of a decode that kept everything.
+inline std::string Fingerprint(const DecodedTrace& d) {
+  std::string out = ContextsFingerprint(d);
   out += "\n--trace--\n" + TraceReport::Format(d);
+  out += "\n--trace-event--\n" + ExportTraceEventJson(d);
   out += "\n|steps=" + std::to_string(d.steps.size());
   return out;
+}
+
+// The decode modes a caller can ask for: stats only, the context trees, the
+// trees plus the steps of the first 1 or 9 trace lines, and everything.
+inline constexpr StreamingOptions kDecodeModes[] = {
+    {.retain_structure = false, .step_lines = 0},
+    {.retain_structure = true, .step_lines = 0},
+    {.retain_structure = true, .step_lines = 1},
+    {.retain_structure = true, .step_lines = 9},
+    {.retain_structure = true, .step_lines = kAllSteps},
+};
+
+inline std::string ModeName(const StreamingOptions& keep) {
+  if (!keep.retain_structure) {
+    return "stats mode";
+  }
+  if (keep.step_lines == kAllSteps) {
+    return "steps mode";
+  }
+  return "contexts mode, " + std::to_string(keep.step_lines) + " trace lines";
+}
+
+// Every report a decode made with `keep` can render.
+inline std::string ModeFingerprint(const DecodedTrace& d, const StreamingOptions& keep) {
+  if (!keep.retain_structure) {
+    return StatsFingerprint(d);
+  }
+  if (keep.step_lines == kAllSteps) {
+    return Fingerprint(d);
+  }
+  std::string out = ContextsFingerprint(d);
+  if (keep.step_lines > 0) {
+    out += "\n--trace--\n" + TraceReport::Format(d, {.max_lines = keep.step_lines});
+  }
+  return out;
+}
+
+// Decodes with `decode(keep)` in every mode and checks each against
+// `reference` (a decode that kept everything) on every report the mode can
+// render; a mode keeps no structure it was not asked for.
+template <typename Decode>
+void ExpectEveryModeAgrees(const DecodedTrace& reference, Decode decode,
+                           const std::string& what) {
+  for (const StreamingOptions& keep : kDecodeModes) {
+    const DecodedTrace d = decode(keep);
+    ASSERT_EQ(ModeFingerprint(d, keep), ModeFingerprint(reference, keep))
+        << what << ", " << ModeName(keep);
+    if (keep.step_lines == 0) {
+      EXPECT_TRUE(d.steps.empty()) << what << ", " << ModeName(keep);
+    }
+    if (!keep.retain_structure) {
+      for (const auto& stack : d.stacks) {
+        EXPECT_TRUE(stack->root->children.empty()) << what << ", " << ModeName(keep);
+      }
+    }
+  }
 }
 
 inline RawTrace Trace(std::initializer_list<RawEvent> events) {
@@ -200,34 +271,20 @@ DecodedTrace FeedShaped(Engine& engine, const RawTrace& raw, std::uint64_t split
   return engine.Finish(raw.overflowed);
 }
 
-// The differential and feed-shape equivalence oracle. The batch decode is
+// The feed-shape and decode-mode equivalence oracle. The batch decode is
 // the reference; every other way of running the engine must match it:
-//  * sharded replay at several worker counts and shard sizes;
-//  * inline and sharded replay fed one SoA column pair, or a seeded random
-//    mix of RawEvent and SoA slices, with and without timer glitches;
-//  * the bounded-memory decode (retain_structure=false), on everything it
-//    keeps: per-function stats, idle time and the anomaly counters;
-//  * the running stats snapshot: after every fed slice, the bounded
+//  * every decode mode (stats, contexts, bounded steps, every step), fed one
+//    SoA column pair or a seeded random mix of RawEvent and SoA slices, with
+//    and without timer glitches, on every report the mode can render;
+//  * the running stats snapshot: after every fed slice, the stats-only
 //    decoder's SnapshotStats (open calls with their time to date) must match
-//    the retaining inline decoder's and, whenever nothing awaits lookahead,
-//    carry the per-function stats of a batch decode of the prefix fed so far
+//    the retaining decoder's and, whenever nothing awaits lookahead, carry
+//    the per-function stats of a batch decode of the prefix fed so far
 //    (which closes the open calls at the last event).
-inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& names,
-                                        const std::string& what,
-                                        std::uint64_t split_seed = 1) {
-  const std::string serial = Fingerprint(Decoder::Decode(raw, names));
-  for (unsigned jobs : {1u, 2u, 3u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ParallelOptions opts;
-      opts.jobs = jobs;
-      opts.shard_target_ops = target;
-      const std::string par = Fingerprint(DecodeParallel(raw, names, opts));
-      ASSERT_EQ(par, serial)
-          << what << " jobs=" << jobs << " shard_target_ops=" << target;
-    }
-  }
+inline void ExpectFeedShapesAgree(const RawTrace& raw, const TagFile& names,
+                                  const std::string& what, std::uint64_t split_seed = 1) {
   // Every feed shape also sees the trace with timer glitches (a stored bit
-  // above the counter mask), which each path must salvage identically.
+  // above the counter mask), which each must salvage identically.
   RawTrace glitched = raw;
   for (std::size_t i = 0; i < glitched.events.size(); i += 37) {
     glitched.events[i].timestamp |= 1u << 30;
@@ -235,11 +292,17 @@ inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& name
   const RawTrace* const traces[] = {&raw, &glitched};
   for (const RawTrace* trace : traces) {
     const DecodedTrace batch = Decoder::Decode(*trace, names);
-    const std::string reference = Fingerprint(batch);
     const std::string label = what + (trace == &glitched ? " (glitched)" : "");
     for (const std::uint64_t seed : {std::uint64_t{0}, split_seed}) {
-      StreamingDecoder inline_replay(names, trace->timer_bits, trace->timer_clock_hz,
-                                     StreamingOptions{.retain_structure = true});
+      ExpectEveryModeAgrees(
+          batch,
+          [&](const StreamingOptions& keep) {
+            StreamingDecoder engine(names, trace->timer_bits, trace->timer_clock_hz, keep);
+            return FeedShaped(engine, *trace, seed);
+          },
+          label + ", split seed " + std::to_string(seed));
+      StreamingDecoder retaining(names, trace->timer_bits, trace->timer_clock_hz,
+                                 StreamingOptions{.retain_structure = true});
       StreamingDecoder bounded(names, trace->timer_bits, trace->timer_clock_hz,
                                StreamingOptions{.retain_structure = false});
       std::size_t slice = 0;
@@ -249,7 +312,7 @@ inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& name
           [&](std::size_t fed) {
             const DecodedTrace snap = bounded.SnapshotStats();
             const std::string folded = StatsFingerprint(snap);
-            const std::string retained = StatsFingerprint(inline_replay.SnapshotStats());
+            const std::string retained = StatsFingerprint(retaining.SnapshotStats());
             if (folded != retained && first_mismatch.empty()) {
               first_mismatch = "slice " + std::to_string(slice) + ":\n" + folded +
                                "\nretaining:\n" + retained;
@@ -265,16 +328,8 @@ inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& name
             }
             ++slice;
           },
-          inline_replay, bounded);
+          retaining, bounded);
       ASSERT_EQ(first_mismatch, "") << label << " SnapshotStats, split seed " << seed;
-      ASSERT_EQ(Fingerprint(inline_replay.Finish(trace->overflowed)), reference)
-          << label << " inline replay, split seed " << seed;
-      ASSERT_EQ(StatsFingerprint(bounded.Finish(trace->overflowed)), StatsFingerprint(batch))
-          << label << " retain_structure=false, split seed " << seed;
-      ParallelAnalyzer sharded(names, trace->timer_bits, trace->timer_clock_hz,
-                               ParallelOptions{.jobs = 3, .shard_target_ops = 16});
-      ASSERT_EQ(Fingerprint(FeedShaped(sharded, *trace, seed)), reference)
-          << label << " sharded replay, split seed " << seed;
     }
   }
 }

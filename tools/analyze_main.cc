@@ -1,16 +1,15 @@
 #include "tools/analyze_main.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
-#include <type_traits>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
 #include "src/analysis/diff.h"
 #include "src/analysis/grouping.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/histogram.h"
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
@@ -26,7 +25,7 @@ namespace hwprof {
 namespace {
 
 // Pipeline-telemetry section (--stats / --stats-json): everything src/obs
-// accumulated over this process — load, decode, shard replay, merge.
+// accumulated over this process — load and decode.
 void PrintTelemetry(bool text, bool json) {
   if (!text && !json) {
     return;
@@ -43,8 +42,7 @@ void PrintTelemetry(bool text, bool json) {
 }
 
 // Machine-readable report: capture header, the typed anomaly counters, and
-// every summary row. Built only from the DecodedTrace, so serial and
-// parallel decodes emit byte-identical JSON.
+// every summary row, built only from the DecodedTrace.
 std::string FormatJson(const DecodedTrace& decoded) {
   const Summary summary(decoded);
   auto u64 = [](std::uint64_t v) {
@@ -90,8 +88,8 @@ std::string FormatJson(const DecodedTrace& decoded) {
 }
 
 // Incremental analysis of a chunked stream file (either format): feeds each
-// drained bank to the engine, printing a status line (and, under inline
-// replay, a running Figure 3 summary) as it goes. `--poll N` re-reads the
+// drained bank to the engine, printing a status line and a running Figure 3
+// summary as it goes. `--poll N` re-reads the
 // file N times total (with a short real sleep in between) so a
 // still-appending writer can be tailed; new complete chunks are picked up
 // where the previous pass stopped. A chunk the writer never finished is
@@ -104,10 +102,6 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
   bool progress = false;
   bool stats = false;
   bool stats_json = false;
-  // Default 1: live per-chunk summaries need inline replay's stats
-  // snapshot. `--jobs 0` (or >1) hands decided chunks to the worker pool
-  // instead and prints the summary once, from the merged final trace.
-  unsigned jobs = 1;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_number = [&](std::size_t fallback) -> std::size_t {
@@ -127,7 +121,7 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
     } else if (arg == "--poll") {
       polls = static_cast<int>(next_number(1));
     } else if (arg == "--jobs") {
-      jobs = static_cast<unsigned>(next_number(0));
+      next_number(0);  // accepted for old command lines; decode is single-threaded
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--progress") {
@@ -202,73 +196,54 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
                  static_cast<unsigned long long>(anomalies), rate, secs);
   };
 
-  // The poll/feed loop, for either replay: inline replay (a StreamingDecoder)
-  // reports its lookahead backlog and prints a live summary after every
-  // chunk; sharded replay (a ParallelAnalyzer) reports the shards handed to
-  // the pool and prints the summary once, from the merged final trace. A
-  // torn tail chunk is held back until the last pass and decoded then.
-  auto follow = [&](auto& engine) {
-    constexpr bool kInline =
-        std::is_same_v<std::remove_reference_t<decltype(engine)>, StreamingDecoder>;
-    for (int pass = 0; pass < polls; ++pass) {
-      if (pass > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        if (!read_pass("re-read")) {
-          return 1;
-        }
-      }
-      engine.NoteCorruptWords(corrupt_delta);
-      const std::size_t complete = fresh.size() - (truncated_tail && !fresh.empty() ? 1 : 0);
-      for (std::size_t i = 0; i < complete; ++i, ++fed) {
-        const SoaChunk& chunk = fresh[i];
-        engine.FeedChunk(chunk);
-        std::printf(
-            "chunk %zu: %zu events (%llu dropped before) | stream so far: %llu events, "
-            "%llu dropped, ",
-            fed, chunk.tags.size(), static_cast<unsigned long long>(chunk.dropped_before),
-            static_cast<unsigned long long>(engine.events_seen()),
-            static_cast<unsigned long long>(engine.dropped_events()));
-        if constexpr (kInline) {
-          std::printf("%zu awaiting lookahead\n", engine.pending());
-          const DecodedTrace so_far = engine.SnapshotStats();
-          if (progress) {
-            heartbeat(engine.events_seen(), so_far.AnomalyTotal());
-          }
-          std::printf("%s\n", Summary(so_far).Format(rows).c_str());
-        } else {
-          std::printf("%zu shards in flight\n", engine.shards_planned());
-          if (progress) {
-            heartbeat(engine.events_seen(), engine.dropped_events());
-          }
-        }
+  // The poll/feed loop: a status line with the lookahead backlog and a live
+  // summary after every chunk. A torn tail chunk is held back until the last
+  // pass and decoded then.
+  StreamingDecoder decoder(names, timer_bits, timer_clock_hz);
+  for (int pass = 0; pass < polls; ++pass) {
+    if (pass > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      if (!read_pass("re-read")) {
+        return 1;
       }
     }
-    const bool truncated = truncated_tail && !fresh.empty();
-    if (truncated) {
-      // The writer never finished this chunk; decode what made it to disk.
-      engine.FeedChunk(fresh.back());
-      ++fed;
+    decoder.NoteCorruptWords(corrupt_delta);
+    const std::size_t complete = fresh.size() - (truncated_tail && !fresh.empty() ? 1 : 0);
+    for (std::size_t i = 0; i < complete; ++i, ++fed) {
+      const SoaChunk& chunk = fresh[i];
+      decoder.FeedChunk(chunk);
+      std::printf(
+          "chunk %zu: %zu events (%llu dropped before) | stream so far: %llu events, "
+          "%llu dropped, %zu awaiting lookahead\n",
+          fed, chunk.tags.size(), static_cast<unsigned long long>(chunk.dropped_before),
+          static_cast<unsigned long long>(decoder.events_seen()),
+          static_cast<unsigned long long>(decoder.dropped_events()), decoder.pending());
+      const DecodedTrace so_far = decoder.SnapshotStats();
+      if (progress) {
+        heartbeat(decoder.events_seen(), so_far.AnomalyTotal());
+      }
+      std::printf("%s\n", Summary(so_far).Format(rows).c_str());
     }
-    const DecodedTrace decoded = engine.Finish(truncated);
-    std::printf("end of stream: %zu chunks, %llu events, %llu dropped in %llu gaps%s\n", fed,
-                static_cast<unsigned long long>(decoded.event_count),
-                static_cast<unsigned long long>(decoded.dropped_events),
-                static_cast<unsigned long long>(decoded.capture_gaps),
-                truncated ? " (truncated tail)" : "");
-    std::printf("%s\n", Summary(decoded).Format(rows).c_str());
-    PrintTelemetry(stats, stats_json);
-    return 0;
-  };
-  if (jobs == 1) {
-    StreamingDecoder decoder(names, timer_bits, timer_clock_hz);
-    return follow(decoder);
   }
-  ParallelAnalyzer analyzer(names, timer_bits, timer_clock_hz, ParallelOptions{.jobs = jobs});
-  return follow(analyzer);
+  const bool truncated = truncated_tail && !fresh.empty();
+  if (truncated) {
+    // The writer never finished this chunk; decode what made it to disk.
+    decoder.FeedChunk(fresh.back());
+    ++fed;
+  }
+  const DecodedTrace decoded = decoder.Finish(truncated);
+  std::printf("end of stream: %zu chunks, %llu events, %llu dropped in %llu gaps%s\n", fed,
+              static_cast<unsigned long long>(decoded.event_count),
+              static_cast<unsigned long long>(decoded.dropped_events),
+              static_cast<unsigned long long>(decoded.capture_gaps),
+              truncated ? " (truncated tail)" : "");
+  std::printf("%s\n", Summary(decoded).Format(rows).c_str());
+  PrintTelemetry(stats, stats_json);
+  return 0;
 }
 
-// `hwprof_analyze --diff A B <names>`: decode both captures (any format,
-// any --jobs) against the shared names file and print the three-granularity
+// `hwprof_analyze --diff A B <names>`: decode both captures (any format)
+// against the shared names file and print the three-granularity
 // regression report. Exit codes: 0 no regression, 3 at least one gated row
 // regressed beyond --noise-pct (and the --quantum-us floor), 1 load
 // failure, 2 usage. `--gate net` demotes the per-call-edge section to
@@ -289,7 +264,6 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
   double quantum_us = 0.0;
   bool gate_edges = true;
   bool json = false;
-  unsigned jobs = 0;
   bool salvage = false;
   for (int i = 5; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -322,12 +296,12 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
+      // Accepted for old command lines; decode is single-threaded.
       std::uint64_t value = 0;
       if (!ParseUint(argv[++i], &value)) {
         *error = StrFormat("--jobs needs a number, got '%s'", argv[i]);
         return 2;
       }
-      jobs = static_cast<unsigned>(value);
     } else if (arg == "--salvage") {
       salvage = true;
     } else {
@@ -340,10 +314,12 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
   if (!LoadNamesFile(names_path, &names, error)) {
     return 1;
   }
+  // The per-call-edge section reads the calling-context trees.
   auto decode = [&](const std::string& path, DecodedTrace* decoded) {
     MappedFile file;
     return OpenCapture(path, &file, error) &&
-           DecodeCapture(path, file.view(), names, DecodeNeeds::kStructure, jobs, salvage,
+           DecodeCapture(path, file.view(), names,
+                         StreamingOptions{.retain_structure = true, .step_lines = 0}, salvage,
                          stdout, decoded, error);
   };
   DecodedTrace baseline;
@@ -393,29 +369,30 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     }
   }
 
-  // `--jobs`, `--salvage` and what the reports read are resolved before
-  // decoding; the options are consumed by the report loop below. When every
-  // report is stats-only the decode is bounded inline replay whatever
-  // `--jobs` says. Reports that read the call trees or steps decode with
-  // structure: `--jobs 1` replays inline, any other value shards the replay
-  // across a worker pool (0 = hardware concurrency) with byte-identical
-  // output. A histogram function named like one of those options only costs
-  // a structured decode; the output is the same.
-  unsigned jobs = 0;
+  // `--salvage` and what the reports read are resolved before decoding; the
+  // options are consumed by the report loop below. When every report is
+  // stats-only the decode keeps no structure. `--callgraph`, `--histogram`
+  // and `--processes` read the calling-context trees, and `--trace N` the
+  // steps of its first N lines (every step for N = 0).
   bool salvage = false;
-  DecodeNeeds needs = DecodeNeeds::kStats;
+  StreamingOptions keep{.retain_structure = false, .step_lines = 0};
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      std::uint64_t value = 0;
-      if (ParseUint(argv[i + 1], &value)) {
-        jobs = static_cast<unsigned>(value);
-      }
-    } else if (arg == "--salvage") {
+    if (arg == "--salvage") {
       salvage = true;
-    } else if (arg == "--trace" || arg == "--callgraph" || arg == "--histogram" ||
-               arg == "--processes") {
-      needs = DecodeNeeds::kStructure;
+    } else if (arg == "--callgraph" || arg == "--processes") {
+      keep.retain_structure = true;
+    } else if (arg == "--histogram") {
+      keep.retain_structure = true;
+      ++i;  // the function name
+    } else if (arg == "--trace") {
+      keep.retain_structure = true;
+      std::uint64_t lines = 60;  // the report loop's default
+      if (i + 1 < argc && ParseUint(argv[i + 1], &lines)) {
+        ++i;
+      }
+      keep.step_lines =
+          lines == 0 ? kAllSteps : std::max(keep.step_lines, static_cast<std::size_t>(lines));
     }
   }
 
@@ -430,8 +407,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
       *error = names_error;
       return 1;
     }
-    if (!DecodeCapture(argv[1], file.view(), names, needs, jobs, salvage, stdout, &decoded,
-                       error)) {
+    if (!DecodeCapture(argv[1], file.view(), names, keep, salvage, stdout, &decoded, error)) {
       return 1;
     }
   }
@@ -505,7 +481,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
                    static_cast<unsigned long long>(decoded.event_count),
                    static_cast<unsigned long long>(decoded.AnomalyTotal()));
     } else if (arg == "--jobs") {
-      next_number(0);  // already consumed before the decode
+      next_number(0);  // accepted for old command lines; decode is single-threaded
     } else if (arg == "--salvage") {
       // already consumed before the load
     } else {

@@ -24,12 +24,11 @@ namespace hwprof {
 //   --salvage        tolerate corrupt capture files: unreadable lines are
 //                    warned about, counted as corrupt-word anomalies and
 //                    skipped instead of failing the load
-//   --jobs N         decode with N worker threads (0 or omitted: hardware
-//                    concurrency; 1: inline replay, no threads). Output is
-//                    byte-identical at every N.
+//   --jobs N         accepted for old command lines and ignored: decode is
+//                    single-threaded, so the output is the same at every N
 //   --stats          append the pipeline-telemetry section (src/obs
-//                    counters, gauges and latency histograms for the load,
-//                    decode, shard-replay and merge stages of this run)
+//                    counters, gauges and latency histograms for the load
+//                    and decode stages of this run)
 //   --stats-json     the same snapshot as a JSON object
 //   --progress       heartbeat on STDERR (stdout report output is never
 //                    touched, so `--json --progress | jq` keeps parsing).

@@ -23,7 +23,6 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
   const std::string names_path = argv[2];
   std::string format = "trace-event";
   std::string out_path;
-  unsigned jobs = 0;
   bool salvage = false;
   bool stats = false;
   bool telemetry = false;
@@ -34,13 +33,13 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
+      // Accepted for old command lines; decode is single-threaded.
       std::uint64_t value = 0;
       if (!ParseUint(argv[i + 1], &value)) {
         *error = StrFormat("--jobs needs a number, got '%s'", argv[i + 1]);
         return 2;
       }
       ++i;
-      jobs = static_cast<unsigned>(value);
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--stats") {
@@ -67,8 +66,8 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
     return 1;
   }
 
-  // Either kind and format; inline and sharded replay are byte-identical by
-  // contract, so the caller's --jobs choice never shows in the export.
+  // Either kind and format. The trace-event JSON reads every step; the
+  // folded stacks read only the calling-context trees.
   OBS_SPAN_BEGIN(load);
   MappedFile file;
   const bool opened = OpenCapture(capture_path, &file, error);
@@ -78,20 +77,19 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
   }
   OBS_SPAN_BEGIN(decode);
   DecodedTrace decoded;
-  const bool decoded_ok = DecodeCapture(capture_path, file.view(), names,
-                                        DecodeNeeds::kStructure, jobs, salvage, stderr,
-                                        &decoded, error);
+  const StreamingOptions keep{.retain_structure = true,
+                              .step_lines = format == "trace-event" ? kAllSteps : 0};
+  const bool decoded_ok =
+      DecodeCapture(capture_path, file.view(), names, keep, salvage, stderr, &decoded, error);
   OBS_SPAN_END(decode, "export.decode");
   if (!decoded_ok) {
     return 1;
   }
 
-  // The telemetry tracks render only counters whose totals are independent
-  // of the decode path chosen by --jobs: the per-decode anomaly ledger
-  // (RecordDecodeTelemetry runs identically under both replay modes) and the
-  // load-side socket counters. Engine-internal counters (decode.chunks,
-  // parallel.shards, ...) differ between inline and sharded runs and would
-  // break the export's byte-identity contract.
+  // The telemetry tracks render only counters whose totals depend on the
+  // capture alone: the per-decode anomaly ledger and the load-side socket
+  // counters. Engine-internal counters (decode.chunks, ...) follow the feed
+  // shape and would break the export's byte-identity contract.
   obs::Snapshot telemetry_counters;
   if (telemetry) {
     static constexpr std::string_view kInvariantPrefixes[] = {

@@ -102,7 +102,7 @@ int LintMain(int argc, const char* const* argv, std::string* error) {
     MappedFile file;
     DecodedTrace trace;
     if (!LoadNamesFile(tags_path, &names, error) || !OpenCapture(trace_path, &file, error) ||
-        !DecodeCapture(trace_path, file.view(), names, DecodeNeeds::kStats, /*jobs=*/1,
+        !DecodeCapture(trace_path, file.view(), names, StreamingOptions{},
                        /*salvage=*/false, stderr, &trace, error)) {
       return 2;
     }

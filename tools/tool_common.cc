@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/analysis/parallel.h"
 #include "src/base/strings.h"
 #include "src/profhw/capture_reader.h"
 #include "src/profhw/smart_socket.h"
@@ -56,7 +55,7 @@ bool OpenCapture(const std::string& path, MappedFile* file, std::string* error) 
 }
 
 bool DecodeCapture(const std::string& path, std::string_view bytes,
-                   const TagFile& names, DecodeNeeds needs, unsigned jobs, bool salvage,
+                   const TagFile& names, StreamingOptions keep, bool salvage,
                    std::FILE* warnings, DecodedTrace* decoded, std::string* error) {
   CaptureReader reader(bytes, salvage);
   auto fail = [&] {
@@ -67,15 +66,8 @@ bool DecodeCapture(const std::string& path, std::string_view bytes,
   if (reader.failed()) {
     return fail();
   }
-  if (needs == DecodeNeeds::kStats) {
-    *decoded = StreamingDecoder(names, reader.timer_bits(), reader.timer_clock_hz(),
-                                StreamingOptions{.retain_structure = false})
-                   .DecodeAll(reader);
-  } else {
-    *decoded = ParallelAnalyzer(names, reader.timer_bits(), reader.timer_clock_hz(),
-                                ParallelOptions{.jobs = jobs})
-                   .DecodeAll(reader);
-  }
+  *decoded =
+      StreamingDecoder(names, reader.timer_bits(), reader.timer_clock_hz(), keep).DecodeAll(reader);
   if (reader.failed()) {
     return fail();
   }

@@ -33,22 +33,15 @@ bool LoadNamesFile(const std::string& path, TagFile* names, std::string* error);
 // capture 'path'" plus the reason.
 bool OpenCapture(const std::string& path, MappedFile* file, std::string* error);
 
-// What a caller's reports read from the decoded trace. kStats: only the
-// per-function stats, idle time and anomaly counters (the summary, --json,
-// --groups, --spl, the lint cross-check). kStructure: the call trees or the
-// step list as well (--trace, --callgraph, --histogram, --processes, --diff's
-// call-graph edges, the exports).
-enum class DecodeNeeds { kStats, kStructure };
-
 // Decodes the capture or stream in `bytes` (either format, read from
-// `path`). kStats runs bounded inline replay (no trees, memory bounded by
-// stack depth) and ignores `jobs`; kStructure runs the engine at `jobs` (0 =
-// hardware concurrency, 1 = inline replay; the output is identical at every
-// value). In salvage mode every tolerated problem is printed to `warnings`
-// as "warning: path:line: ... (salvaged)" (" @offset" for hwpb). On a load
-// failure *error is "cannot load capture 'path'" plus every diagnostic.
+// `path`), keeping what `keep` asks for: a caller passes what its reports
+// read (StreamingOptions{} for stats only: the summary, --json, --groups,
+// --spl, the lint cross-check). In salvage mode every tolerated problem is
+// printed to `warnings` as "warning: path:line: ... (salvaged)" (" @offset"
+// for hwpb). On a load failure *error is "cannot load capture 'path'" plus
+// every diagnostic.
 bool DecodeCapture(const std::string& path, std::string_view bytes,
-                   const TagFile& names, DecodeNeeds needs, unsigned jobs, bool salvage,
+                   const TagFile& names, StreamingOptions keep, bool salvage,
                    std::FILE* warnings, DecodedTrace* decoded, std::string* error);
 
 }  // namespace hwprof
