@@ -1,6 +1,7 @@
 #include "src/analysis/export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -14,37 +15,55 @@ namespace {
 
 // --- Emission helpers --------------------------------------------------------
 
+void AppendUint(std::uint64_t v, std::string* out) {
+  char buf[20];
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, end.ptr);
+}
+
 // Chrome wants microseconds; integer-only rendering of the exact nanosecond
-// value keeps the output byte-stable across platforms and --jobs counts.
+// value ("us.nnn") keeps the output byte-stable across platforms.
+void AppendUsec(Nanoseconds ns, std::string* out) {
+  AppendUint(ns / 1000, out);
+  const auto frac = static_cast<unsigned>(ns % 1000);
+  const char digits[] = {'.', static_cast<char>('0' + frac / 100),
+                         static_cast<char>('0' + frac / 10 % 10),
+                         static_cast<char>('0' + frac % 10)};
+  out->append(digits, sizeof(digits));
+}
+
 std::string UsecStr(Nanoseconds ns) {
-  return StrFormat("%llu.%03llu", static_cast<unsigned long long>(ns / 1000),
-                   static_cast<unsigned long long>(ns % 1000));
+  std::string out;
+  AppendUsec(ns, &out);
+  return out;
 }
 
 constexpr int kPid = 1;
 constexpr int kAnomalyTid = 0;  // stacks are tid 1..N
 
 // One entry step as a slice ("X"), or an inline marker as an instant ("i").
-std::string StepEvent(const TraceStep& step) {
-  const int tid = step.stack_id + 1;
-  std::string event = "{\"name\":";
-  AppendJsonString(step.fn->name, &event);
+// There is one per call, so it is appended piece by piece rather than
+// formatted.
+void AppendStepEvent(const TraceStep& step, std::string* out) {
+  *out += "{\"name\":";
+  AppendJsonString(step.fn->name, out);
+  *out += step.inline_marker ? ",\"ph\":\"i\",\"pid\":" : ",\"ph\":\"X\",\"pid\":";
+  AppendUint(kPid, out);
+  *out += ",\"tid\":";
+  AppendUint(static_cast<std::uint64_t>(step.stack_id) + 1, out);
+  *out += ",\"ts\":";
+  AppendUsec(step.t, out);
   if (step.inline_marker) {
-    event += StrFormat(",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\"}",
-                       kPid, tid, UsecStr(step.t).c_str());
-    return event;
+    *out += ",\"s\":\"t\"}";
+    return;
   }
-  const Nanoseconds dur = step.exit_time >= step.t ? step.exit_time - step.t : 0;
-  std::string args = StrFormat("{\"net_ns\":%llu,\"elapsed_ns\":%llu",
-                               static_cast<unsigned long long>(step.net),
-                               static_cast<unsigned long long>(step.elapsed));
-  if (step.forced_close) {
-    args += ",\"forced_close\":1";
-  }
-  args += "}";
-  event += StrFormat(",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
-                     kPid, tid, UsecStr(step.t).c_str(), UsecStr(dur).c_str(), args.c_str());
-  return event;
+  *out += ",\"dur\":";
+  AppendUsec(step.exit_time >= step.t ? step.exit_time - step.t : 0, out);
+  *out += ",\"args\":{\"net_ns\":";
+  AppendUint(step.net, out);
+  *out += ",\"elapsed_ns\":";
+  AppendUint(step.elapsed, out);
+  *out += step.forced_close ? ",\"forced_close\":1}}" : "}}";
 }
 
 struct AnomalyRow {
@@ -75,20 +94,29 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded) {
 
 std::string ExportTraceEventJson(const DecodedTrace& decoded,
                                  const obs::Snapshot* telemetry) {
-  std::vector<std::string> events;
-  events.push_back(StrFormat(
+  // Events are written straight into the output, one per line.
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  bool first = true;
+  auto next_event = [&out, &first]() -> std::string& {
+    if (!first) {
+      out += ",\n";
+    }
+    first = false;
+    return out;
+  };
+  next_event() += StrFormat(
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
       "\"args\":{\"name\":\"hwprof simulated machine\"}}",
-      kPid));
-  events.push_back(StrFormat(
+      kPid);
+  next_event() += StrFormat(
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
       "\"args\":{\"name\":\"anomalies\"}}",
-      kPid, kAnomalyTid));
+      kPid, kAnomalyTid);
   for (const auto& stack : decoded.stacks) {
-    events.push_back(StrFormat(
+    next_event() += StrFormat(
         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
         "\"args\":{\"name\":\"context %d\"}}",
-        kPid, stack->id + 1, stack->id));
+        kPid, stack->id + 1, stack->id);
   }
 
   // Slices per context in open order (each context's calls nest, so that is
@@ -101,7 +129,7 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
   }
   for (const auto& opened : by_stack) {
     for (const TraceStep* step : opened) {
-      events.push_back(StepEvent(*step));
+      AppendStepEvent(*step, &next_event());
     }
   }
 
@@ -111,13 +139,11 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
   // the idle window.
   Nanoseconds idle_cum = 0;
   Nanoseconds intr_cum = 0;
-  std::vector<std::string> counter_events;
   auto counter_sample = [&](Nanoseconds t) {
-    counter_events.push_back(StrFormat(
+    next_event() += StrFormat(
         "{\"name\":\"cpu (cumulative us)\",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,"
         "\"args\":{\"idle_us\":%s,\"interrupt_us\":%s}}",
-        kPid, UsecStr(t).c_str(), UsecStr(idle_cum).c_str(),
-        UsecStr(intr_cum).c_str()));
+        kPid, UsecStr(t).c_str(), UsecStr(idle_cum).c_str(), UsecStr(intr_cum).c_str());
   };
   if (!decoded.steps.empty()) {
     counter_sample(decoded.start_time);
@@ -130,19 +156,16 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
       counter_sample(step.t);
     }
   }
-  for (std::string& e : counter_events) {
-    events.push_back(std::move(e));
-  }
 
   for (const AnomalyRow& row : AnomalyRows(decoded)) {
     if (row.count == 0) {
       continue;
     }
-    events.push_back(StrFormat(
+    next_event() += StrFormat(
         "{\"name\":\"anomaly: %s\",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,"
         "\"ts\":%s,\"s\":\"g\",\"args\":{\"count\":%llu}}",
         row.name, kPid, kAnomalyTid, UsecStr(decoded.end_time).c_str(),
-        static_cast<unsigned long long>(row.count)));
+        static_cast<unsigned long long>(row.count));
   }
 
   // Pipeline-telemetry counter tracks (snapshots are name-sorted, so the
@@ -152,24 +175,15 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
       if (m.kind != obs::MetricKind::kCounter) {
         continue;
       }
-      std::string event = "{\"name\":";
+      std::string& event = next_event();
+      event += "{\"name\":";
       AppendJsonString("telemetry: " + m.name, &event);
       event += StrFormat(",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,\"args\":{\"count\":%llu}}",
                          kPid, UsecStr(decoded.end_time).c_str(),
                          static_cast<unsigned long long>(m.count));
-      events.push_back(std::move(event));
     }
   }
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    out += events[i];
-    if (i + 1 != events.size()) {
-      out += ",";
-    }
-    out += "\n";
-  }
-  out += "]}\n";
+  out += "\n]}\n";
   return out;
 }
 

@@ -89,11 +89,10 @@ std::string FormatJson(const DecodedTrace& decoded) {
 
 // Incremental analysis of a chunked stream file (either format): feeds each
 // drained bank to the engine, printing a status line and a running Figure 3
-// summary as it goes. `--poll N` re-reads the
-// file N times total (with a short real sleep in between) so a
-// still-appending writer can be tailed; new complete chunks are picked up
-// where the previous pass stopped. A chunk the writer never finished is
-// decoded as a truncated tail at the end.
+// summary as it goes. `--poll N` re-reads the file N times total (with a
+// short real sleep in between) so a still-appending writer can be tailed;
+// new complete chunks are picked up where the previous pass stopped. A
+// chunk the writer never finished is decoded as a truncated tail at the end.
 int FollowMain(const char* path, const TagFile& names, int argc, const char* const* argv,
                std::string* error) {
   std::size_t rows = 20;
