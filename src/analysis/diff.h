@@ -3,8 +3,8 @@
 // compare-two-profiles step: McKusick's kerntune workflow and
 // profile-guided-optimization loops both diff a baseline profile against a
 // candidate. TraceDiff takes two decoded captures (any input format, any
-// decode path — the report is built purely from deterministic aggregates,
-// so serial/parallel and text/hwpb inputs produce byte-identical output)
+// feed shape — the report is built purely from deterministic aggregates,
+// so one-shot/chunked and text/hwpb inputs produce byte-identical output)
 // and emits a stable, sorted regression report at three granularities:
 //
 //  * per-function flat profile (net time, as in the Figure 3 summary),
@@ -89,8 +89,8 @@ class TraceDiff {
  public:
   // `a` is the baseline, `b` the candidate. `group_of` maps function name ->
   // abstraction label (TagFile::GroupsByName); unmapped functions land in
-  // "other". Both traces must retain call structure (batch decodes do) for
-  // the edge granularity.
+  // "other". Both traces must keep their calling-context trees (batch
+  // decodes do) for the edge granularity.
   TraceDiff(const DecodedTrace& a, const DecodedTrace& b,
             const std::map<std::string, std::string>& group_of,
             DiffOptions options = DiffOptions{});

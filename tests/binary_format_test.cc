@@ -3,9 +3,9 @@
 //  * lossless text<->binary round trips (bit-identical both directions) for
 //    one-shot captures and chunked streams, across the fault-plan seed set;
 //  * decode identity: a binary container fed through the zero-copy SoA
-//    reader — serially, as randomly-rechunked streams, and through the
-//    parallel engine at --jobs {1,2,8} — fingerprints byte-identical to the
-//    text decode of the same events;
+//    reader — one-shot in every decode mode, and as randomly-rechunked
+//    streams — fingerprints byte-identical to the text decode of the same
+//    events;
 //  * a corruption matrix with EXACT typed-anomaly accounting: flipped CRC,
 //    destroyed chunk magic, oversized record count, bogus varint
 //    continuation, torn tails (mid-header and mid-record), timestamps above

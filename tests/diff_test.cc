@@ -1,8 +1,8 @@
 // Differential capture comparison (TraceDiff / hwprof_analyze --diff):
 // exact row values on synthetic A/B pairs, the inclusive noise threshold,
 // the exit-code contract the CI perf gate relies on, byte-identical output
-// across decode paths (serial vs --jobs N) and storage formats (text vs
-// hwpb), and direct CallGraph/Grouping coverage the diff builds on.
+// across feed shapes, --jobs values and storage formats (text vs hwpb), and
+// direct CallGraph/Grouping coverage the diff builds on.
 
 #include "src/analysis/diff.h"
 
@@ -417,7 +417,7 @@ TEST(DiffCli, OutputIsByteIdenticalAcrossJobsAndFormats) {
     const char* what;
     const std::string* a;
     const std::string* b;
-    const char* jobs;  // nullptr = serial default
+    const char* jobs;  // nullptr = no --jobs
   };
   const Variant variants[] = {
       {"text jobs=1", &files.a_text, &files.b_text, "1"},
@@ -456,7 +456,7 @@ TEST(DiffCli, JsonReportMirrorsTheExitCode) {
   EXPECT_NE(out.find("\"status\": \"regressed\""), std::string::npos);
   EXPECT_EQ(out.find("\"regressions\": 0"), std::string::npos);
 
-  // The JSON twin is also byte-stable across decode paths.
+  // The JSON twin is also byte-stable across --jobs.
   std::string parallel_out;
   EXPECT_EQ(RunDiffCli({files.a_binary.c_str(), files.b_binary.c_str(),
                         files.names.c_str(), "--json", "--jobs", "8"},

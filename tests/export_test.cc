@@ -1,7 +1,7 @@
 // hwprof_export / src/analysis/export: trace-event JSON and folded-stack
 // renderings. Locks in (a) schema validity of the net-receive export, (b)
-// byte-identity across --jobs (the serial/parallel decode contract carried
-// through to the export layer), (c) exact agreement between slice
+// byte-identity across feed shapes, decode modes and --jobs (the decode
+// contract carried through to the export layer), (c) exact agreement between slice
 // accumulators recovered from the JSON text and the decoder's per-function
 // totals / the Figure-3 summary, (d) anomaly instant events matching a
 // fault-injected capture's typed counters, and (e) small committed goldens
