@@ -31,6 +31,22 @@ CaptureFixture& Fixture() {
   return fixture;
 }
 
+// Capture bytes of either format to a RawTrace, the way hwprof_convert reads
+// them: CaptureReader + ReadCapture.
+bool ReadCaptureBytes(std::string_view bytes, RawTrace* out) {
+  CaptureReader reader(bytes, /*salvage=*/false);
+  return ReadCapture(reader, out, nullptr);
+}
+
+// Capture bytes of either format to a stats-only DecodedTrace, the way
+// hwprof_analyze's batch path reads them.
+DecodedTrace AnalyzeBytes(std::string_view bytes, const TagFile& names) {
+  CaptureReader reader(bytes, /*salvage=*/false);
+  return StreamingDecoder(names, reader.timer_bits(), reader.timer_clock_hz(),
+                          StreamingOptions{})
+      .DecodeAll(reader);
+}
+
 void BM_DecodeCapture(benchmark::State& state) {
   CaptureFixture& f = Fixture();
   for (auto _ : state) {
@@ -76,7 +92,7 @@ void BM_SerializeRoundTrip(benchmark::State& state) {
   CaptureFixture& f = Fixture();
   for (auto _ : state) {
     RawTrace loaded;
-    benchmark::DoNotOptimize(RawTrace::Deserialize(f.raw.Serialize(), &loaded));
+    benchmark::DoNotOptimize(ReadCaptureBytes(f.raw.Serialize(), &loaded));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
 }
@@ -93,7 +109,7 @@ void BM_ParseTextContainer(benchmark::State& state) {
   const std::string text = f.raw.Serialize();
   for (auto _ : state) {
     RawTrace loaded;
-    benchmark::DoNotOptimize(RawTrace::Deserialize(text, &loaded));
+    benchmark::DoNotOptimize(ReadCaptureBytes(text, &loaded));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
@@ -129,16 +145,14 @@ void BM_DecodeBinaryContainerSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeBinaryContainerSoA);
 
-// End to end, file bytes to DecodedTrace, per format: what `hwprof_analyze`
-// actually does in its batch path.
+// End to end, file bytes to a stats-only DecodedTrace, per format: what
+// `hwprof_analyze` does in its default batch run.
 
 void BM_AnalyzeFromText(benchmark::State& state) {
   CaptureFixture& f = Fixture();
   const std::string text = f.raw.Serialize();
   for (auto _ : state) {
-    RawTrace loaded;
-    RawTrace::Deserialize(text, &loaded);
-    DecodedTrace d = Decoder::Decode(loaded, f.tb->tags());
+    DecodedTrace d = AnalyzeBytes(text, f.tb->tags());
     benchmark::DoNotOptimize(d.per_function.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
@@ -149,10 +163,7 @@ void BM_AnalyzeFromBinary(benchmark::State& state) {
   CaptureFixture& f = Fixture();
   const std::string bin = EncodeCaptureBinary(f.raw);
   for (auto _ : state) {
-    CaptureReader reader(bin, /*salvage=*/false);
-    DecodedTrace d = StreamingDecoder(f.tb->tags(), reader.timer_bits(),
-                                      reader.timer_clock_hz(), StreamingOptions{})
-                         .DecodeAll(reader);
+    DecodedTrace d = AnalyzeBytes(bin, f.tb->tags());
     benchmark::DoNotOptimize(d.per_function.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));

@@ -1,7 +1,6 @@
 #include "src/analysis/export.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -14,12 +13,6 @@ namespace hwprof {
 namespace {
 
 // --- Emission helpers --------------------------------------------------------
-
-void AppendUint(std::uint64_t v, std::string* out) {
-  char buf[20];
-  const std::to_chars_result end = std::to_chars(buf, buf + sizeof(buf), v);
-  out->append(buf, end.ptr);
-}
 
 // Chrome wants microseconds; integer-only rendering of the exact nanosecond
 // value ("us.nnn") keeps the output byte-stable across platforms.

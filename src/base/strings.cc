@@ -1,6 +1,7 @@
 #include "src/base/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace hwprof {
@@ -80,6 +81,12 @@ bool ParseUint(std::string_view s, std::uint64_t* out) {
   }
   *out = value;
   return true;
+}
+
+void AppendUint(std::uint64_t v, std::string* out) {
+  char buf[20];
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, end.ptr);
 }
 
 void AppendJsonString(std::string_view s, std::string* out) {

@@ -4,6 +4,7 @@
 #define HWPROF_SRC_BASE_STRINGS_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,9 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 // Parses a non-negative decimal integer; returns false on any malformed input
 // (empty, non-digits, overflow past 2^63).
 bool ParseUint(std::string_view s, std::uint64_t* out);
+
+// Appends the decimal digits of `v` to `out`.
+void AppendUint(std::uint64_t v, std::string* out);
 
 // Appends `s` to `out` as a quoted JSON string: '"', '\\', newline, tab and
 // carriage return get their short escapes, every other byte below 0x20 is

@@ -204,6 +204,11 @@ std::string EncodeChunk(const RawEvent* events, std::size_t count,
   return out;
 }
 
+// A diagnostic's `line` field carries the byte offset, clamped to int.
+int OffsetLine(std::size_t offset) {
+  return static_cast<int>(std::min<std::size_t>(offset, std::numeric_limits<int>::max()));
+}
+
 }  // namespace
 
 bool LooksBinaryContainer(std::string_view bytes) {
@@ -247,9 +252,13 @@ std::string EncodeStreamBinary(const StreamCapture& stream) {
 // --- BinaryChunkReader -------------------------------------------------------
 
 void BinaryChunkReader::Diag(std::size_t offset, std::string message) {
-  const auto clamped = static_cast<int>(
-      std::min<std::size_t>(offset, std::numeric_limits<int>::max()));
-  diags_.push_back(TraceDiag{clamped, std::move(message)});
+  diags_.push_back(TraceDiag{OffsetLine(offset), std::move(message)});
+}
+
+bool BinaryChunkReader::Damage(std::size_t offset, std::string message,
+                               std::uint64_t lost) {
+  return BookDamage(TraceDiag{OffsetLine(offset), std::move(message)}, lost, salvage_,
+                    &diags_, &corrupt_words_, &failed_);
 }
 
 BinaryChunkReader::BinaryChunkReader(std::string_view bytes, bool salvage)
@@ -271,7 +280,10 @@ BinaryChunkReader::BinaryChunkReader(std::string_view bytes, bool salvage)
     Diag(9, StrFormat("unknown container kind %u", p[9]));
     return;
   }
-  if (p[10] < 8 || p[10] > 32) {
+  // The width is refused before the CRC (it names the byte), the clock
+  // rate after it.
+  const TimerFieldFault timer = CheckTimerFields(p[10], ReadLe64(p + 12));
+  if (timer == kTimerWidthFault) {
     Diag(10, StrFormat("timer width %u outside 8..32", p[10]));
     return;
   }
@@ -284,14 +296,13 @@ BinaryChunkReader::BinaryChunkReader(std::string_view bytes, bool salvage)
   timer_bits_ = p[10];
   overflowed_ = (p[11] & 1) != 0;
   timer_clock_hz_ = ReadLe64(p + 12);
-  if (timer_clock_hz_ == 0) {
+  if (timer == kTimerClockFault) {
     Diag(12, "timer clock rate must be a positive number");
     return;
   }
   dropped_events_ = ReadLe64(p + 20);
   capture_elapsed_ns_ = ReadLe64(p + 28);
-  timer_mask_ =
-      timer_bits_ >= 32 ? 0xFFFFFFFFu : ((1u << timer_bits_) - 1u);
+  timer_mask_ = TimerMaskFor(timer_bits_);
   pos_ = kBinaryFileHeaderSize;
   header_ok_ = true;
 }
@@ -353,24 +364,14 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
         truncated_tail_ = true;
         return false;
       }
-      Diag(pos_, StrFormat("torn chunk header: %zu of %zu bytes", remaining,
-                           kBinaryChunkHeaderSize));
-      if (!salvage_) {
-        failed_ = true;
-        return false;
-      }
-      ++corrupt_words_;
-      OBS_COUNT("socket.corrupt_lines", 1);
+      Damage(pos_, StrFormat("torn chunk header: %zu of %zu bytes", remaining,
+                             kBinaryChunkHeaderSize), 1);
       return false;
     }
     if (ReadLe32(base + pos_) != kBinaryChunkMagic) {
-      Diag(pos_, "expected a chunk header");
-      if (!salvage_) {
-        failed_ = true;
+      if (!Damage(pos_, "expected a chunk header", 1)) {
         return false;
       }
-      ++corrupt_words_;
-      OBS_COUNT("socket.corrupt_lines", 1);
       pos_ += 1;
       if (!ResyncScan()) {
         done_ = true;
@@ -386,15 +387,13 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
     // Sanity: a record is at least two bytes (one varint byte each for tag
     // and delta), so an impossible record count means a damaged header.
     if (static_cast<std::uint64_t>(record_count) * 2 > payload_bytes) {
-      Diag(pos_ + 4, StrFormat("impossible record count %lu for a %lu-byte payload",
-                               static_cast<unsigned long>(record_count),
-                               static_cast<unsigned long>(payload_bytes)));
-      if (!salvage_) {
-        failed_ = true;
+      if (!Damage(pos_ + 4,
+                  StrFormat("impossible record count %lu for a %lu-byte payload",
+                            static_cast<unsigned long>(record_count),
+                            static_cast<unsigned long>(payload_bytes)),
+                  1)) {
         return false;
       }
-      ++corrupt_words_;
-      OBS_COUNT("socket.corrupt_lines", 1);
       pos_ += 4;  // keep the damaged header's own magic out of the scan
       if (!ResyncScan()) {
         done_ = true;
@@ -409,10 +408,8 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
         const std::size_t save = pos_;
         pos_ += 4;
         if (ResyncScan()) {
-          // Remove the resync diag ordering confusion: note the cause first.
-          Diag(save + 8, "chunk payload length runs past a later valid chunk");
-          ++corrupt_words_;
-          OBS_COUNT("socket.corrupt_lines", 1);
+          // The resync diagnostic comes first, then its cause.
+          Damage(save + 8, "chunk payload length runs past a later valid chunk", 1);
           continue;
         }
         pos_ = save;
@@ -429,30 +426,21 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
                                  // there yet (mid-record --follow case)
         return true;
       }
-      Diag(payload_start,
-           StrFormat("torn chunk payload: %zu of %lu bytes (%zu of %lu records)",
-                     avail, static_cast<unsigned long>(payload_bytes), decoded,
-                     static_cast<unsigned long>(record_count)));
-      if (!salvage_) {
-        failed_ = true;
-        return false;
-      }
-      corrupt_words_ += record_count - decoded;
-      OBS_COUNT("socket.corrupt_lines", record_count - decoded);
-      return true;
+      return Damage(payload_start,
+                    StrFormat("torn chunk payload: %zu of %lu bytes (%zu of %lu records)",
+                              avail, static_cast<unsigned long>(payload_bytes), decoded,
+                              static_cast<unsigned long>(record_count)),
+                    record_count - decoded);
     }
     std::uint32_t crc = Crc32Update(kCrc32Init, base + pos_ + 4, 16);
     crc = Crc32Update(crc, base + payload_start, payload_bytes);
     if (Crc32Final(crc) != stored_crc) {
-      Diag(pos_ + 20,
-           StrFormat("chunk CRC mismatch (%lu records lost)",
-                     static_cast<unsigned long>(record_count)));
-      if (!salvage_) {
-        failed_ = true;
+      if (!Damage(pos_ + 20,
+                  StrFormat("chunk CRC mismatch (%lu records lost)",
+                            static_cast<unsigned long>(record_count)),
+                  record_count)) {
         return false;
       }
-      corrupt_words_ += record_count;
-      OBS_COUNT("socket.corrupt_lines", record_count);
       pos_ += 4;
       if (!ResyncScan()) {
         done_ = true;
@@ -465,42 +453,30 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
         DecodeRecordsSoA(base + payload_start, payload_bytes, record_count,
                          &chunk->tags, &chunk->timestamps, &consumed);
     chunk->dropped_before = dropped_before;
-    std::uint64_t short_records = 0;
     if (decoded < record_count) {
-      Diag(payload_start + consumed,
-           StrFormat("damaged record encoding: %zu of %lu records decode",
-                     decoded, static_cast<unsigned long>(record_count)));
-      short_records = record_count - decoded;
-    } else if (consumed != payload_bytes) {
-      Diag(payload_start + consumed,
-           StrFormat("%lu trailing payload bytes after the last record",
-                     static_cast<unsigned long>(payload_bytes - consumed)));
-      short_records = 1;
-    }
-    if (short_records > 0) {
-      if (!salvage_) {
-        failed_ = true;
+      if (!Damage(payload_start + consumed,
+                  StrFormat("damaged record encoding: %zu of %lu records decode", decoded,
+                            static_cast<unsigned long>(record_count)),
+                  record_count - decoded)) {
         return false;
       }
-      corrupt_words_ += short_records;
-      OBS_COUNT("socket.corrupt_lines", short_records);
+    } else if (consumed != payload_bytes) {
+      if (!Damage(payload_start + consumed,
+                  StrFormat("%lu trailing payload bytes after the last record",
+                            static_cast<unsigned long>(payload_bytes - consumed)),
+                  1)) {
+        return false;
+      }
     }
-    // Timestamps above the timer mask cannot have come from the counter —
-    // the same defense the text parsers apply per line.
+    // Timestamps above the timer mask cannot have come from the counter:
+    // they are dropped, and RecordFault explains the first.
     std::size_t masked_out = 0;
+    std::string fault;
     for (std::size_t i = 0; i < chunk->timestamps.size(); ++i) {
       if (chunk->timestamps[i] > timer_mask_) {
-        if (masked_out == 0) {
-          Diag(payload_start,
-               StrFormat("timestamp %lu exceeds the %u-bit timer mask (%lu)",
-                         static_cast<unsigned long>(chunk->timestamps[i]),
-                         timer_bits_, static_cast<unsigned long>(timer_mask_)));
+        if (masked_out++ == 0) {
+          fault = RecordFault(chunk->tags[i], chunk->timestamps[i], timer_bits_);
         }
-        if (!salvage_) {
-          failed_ = true;
-          return false;
-        }
-        ++masked_out;
         continue;
       }
       if (masked_out > 0) {
@@ -509,10 +485,11 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
       }
     }
     if (masked_out > 0) {
+      if (!Damage(payload_start, std::move(fault), masked_out)) {
+        return false;
+      }
       chunk->tags.resize(chunk->tags.size() - masked_out);
       chunk->timestamps.resize(chunk->timestamps.size() - masked_out);
-      corrupt_words_ += masked_out;
-      OBS_COUNT("socket.corrupt_lines", masked_out);
     }
     pos_ = payload_start + payload_bytes;
     return true;

@@ -140,7 +140,11 @@ class BinaryChunkReader {
   const std::vector<TraceDiag>& diags() const { return diags_; }
 
  private:
+  // A diagnostic that books no damage (header refusals, resyncs).
   void Diag(std::size_t offset, std::string message);
+  // Books damage at `offset` through BookDamage (src/profhw/raw_trace.h);
+  // false when reading must stop.
+  bool Damage(std::size_t offset, std::string message, std::uint64_t lost);
   bool ResyncScan();
 
   std::string_view bytes_;

@@ -9,290 +9,35 @@ namespace hwprof {
 
 namespace {
 
-void NoteDiag(std::vector<TraceDiag>* diags, int line, std::string message) {
-  if (diags != nullptr) {
-    diags->push_back(TraceDiag{line, std::move(message)});
+// Parses one '<tag> <timestamp>' record line into *tag and *timestamp, or
+// returns why it is not one.
+std::string ParseRecord(std::string_view line, unsigned timer_bits, std::uint16_t* tag,
+                        std::uint32_t* timestamp) {
+  const std::size_t space = line.find(' ');
+  if (space == std::string_view::npos || line.find(' ', space + 1) != std::string_view::npos) {
+    return StrFormat("expected '<tag> <timestamp>', got %zu fields",
+                     static_cast<std::size_t>(std::count(line.begin(), line.end(), ' ')) + 1);
   }
+  std::uint64_t t = 0;
+  std::uint64_t ts = 0;
+  if (!ParseUint(line.substr(0, space), &t) || !ParseUint(line.substr(space + 1), &ts)) {
+    return "tag and timestamp must be non-negative decimal numbers";
+  }
+  std::string fault = RecordFault(t, ts, timer_bits);
+  *tag = static_cast<std::uint16_t>(t);
+  *timestamp = static_cast<std::uint32_t>(ts);
+  return fault;
 }
 
-void CountCorrupt(std::uint64_t* corrupt_words) {
-  if (corrupt_words != nullptr) {
-    ++*corrupt_words;
-  }
-  OBS_COUNT("socket.corrupt_lines", 1);
-}
-
-// --- Text capture: "hwprof-raw v1 <bits> <hz> <overflowed>[ key=N...]" -------
-
-// In strict mode every problem is a failure (but parsing continues so one
-// pass reports them all); in salvage mode bad event lines are counted and
-// skipped. *header_ok says whether the header line itself was sound.
-bool ParseCaptureText(std::string_view text, RawTrace* out,
-                      std::vector<TraceDiag>* diags, bool salvage,
-                      std::uint64_t* corrupt_words, bool* header_ok) {
-  *header_ok = false;
-  const std::vector<std::string_view> lines = SplitLines(text);
-  if (lines.empty()) {
-    NoteDiag(diags, 1, "empty file: expected 'hwprof-raw v1 ...' header");
-    return false;
-  }
-  const std::vector<std::string_view> header = Split(lines[0], ' ');
-  if (header.size() < 5 || header[0] != "hwprof-raw" || header[1] != "v1") {
-    NoteDiag(diags, 1, "bad header: expected 'hwprof-raw v1 <bits> <hz> <overflowed>'");
-    return false;
-  }
-  std::uint64_t bits = 0;
-  std::uint64_t hz = 0;
-  std::uint64_t overflow = 0;
-  if (!ParseUint(header[2], &bits) || bits < 8 || bits > 32) {
-    NoteDiag(diags, 1, "timer width must be a number in 8..32");
-    return false;
-  }
-  if (!ParseUint(header[3], &hz) || hz == 0) {
-    NoteDiag(diags, 1, "timer clock rate must be a positive number");
-    return false;
-  }
-  if (!ParseUint(header[4], &overflow) || overflow > 1) {
-    NoteDiag(diags, 1, "overflowed flag must be 0 or 1");
-    return false;
-  }
-  RawTrace trace;
-  trace.timer_bits = static_cast<unsigned>(bits);
-  trace.timer_clock_hz = hz;
-  trace.overflowed = overflow == 1;
-  // Optional key=value header tokens (dropped=N, elapsed=NS).
-  for (std::size_t h = 5; h < header.size(); ++h) {
-    const std::string_view token = header[h];
-    const std::size_t eq = token.find('=');
-    std::uint64_t value = 0;
-    if (eq == std::string_view::npos || !ParseUint(token.substr(eq + 1), &value)) {
-      NoteDiag(diags, 1, StrFormat("bad header token '%.*s': expected key=<number>",
-                                   static_cast<int>(token.size()), token.data()));
-      return false;
-    }
-    const std::string_view key = token.substr(0, eq);
-    if (key == "dropped") {
-      trace.dropped_events = value;
-    } else if (key == "elapsed") {
-      trace.capture_elapsed_ns = value;
-    } else {
-      NoteDiag(diags, 1, StrFormat("unknown header token '%.*s'",
-                                   static_cast<int>(token.size()), token.data()));
-      return false;
-    }
-  }
-  *header_ok = true;
-
-  const std::uint32_t mask = trace.TimerMask();
-  bool events_ok = true;
-  trace.events.reserve(lines.size() - 1);
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const int line_no = static_cast<int>(i) + 1;
-    const std::vector<std::string_view> fields = Split(lines[i], ' ');
-    std::uint64_t tag = 0;
-    std::uint64_t timestamp = 0;
-    std::string reason;
-    if (fields.size() != 2) {
-      reason = StrFormat("expected '<tag> <timestamp>', got %zu fields", fields.size());
-    } else if (!ParseUint(fields[0], &tag) || !ParseUint(fields[1], &timestamp)) {
-      reason = "tag and timestamp must be non-negative decimal numbers";
-    } else if (tag > 0xFFFF) {
-      reason = StrFormat("tag %llu exceeds the 16-bit tag section",
-                         static_cast<unsigned long long>(tag));
-    } else if (timestamp > mask) {
-      reason = StrFormat("timestamp %llu exceeds the %u-bit timer mask (%lu)",
-                         static_cast<unsigned long long>(timestamp), trace.timer_bits,
-                         static_cast<unsigned long>(mask));
-    }
-    if (!reason.empty()) {
-      NoteDiag(diags, line_no, std::move(reason));
-      if (salvage) {
-        if (corrupt_words != nullptr) {
-          ++*corrupt_words;
-        }
-        continue;
-      }
-      events_ok = false;
-      continue;
-    }
-    trace.events.push_back(RawEvent{static_cast<std::uint16_t>(tag),
-                                    static_cast<std::uint32_t>(timestamp)});
-  }
-  if (!events_ok) {
-    return false;
-  }
-  *out = std::move(trace);
-  return true;
-}
-
-// --- Text stream: "hwprof-stream v1 <bits> <hz>", then "chunk <n> <dropped>"
-// blocks -----------------------------------------------------------------------
-
-bool ParseChunkHeader(std::string_view line, std::uint64_t* count,
-                      std::uint64_t* dropped) {
+bool ParseBankHeader(std::string_view line, std::uint64_t* count, std::uint64_t* dropped) {
   const std::vector<std::string_view> fields = Split(line, ' ');
-  return fields.size() == 3 && fields[0] == "chunk" &&
-         ParseUint(fields[1], count) && ParseUint(fields[2], dropped);
+  return fields.size() == 3 && fields[0] == "chunk" && ParseUint(fields[1], count) &&
+         ParseUint(fields[2], dropped);
 }
 
-// Parses one '<tag> <timestamp>' event line against the header's timer mask;
-// on failure fills `reason` and returns false.
-bool ParseEventLine(std::string_view line, std::uint32_t mask,
-                    unsigned timer_bits, RawEvent* out, std::string* reason) {
-  const std::vector<std::string_view> ev = Split(line, ' ');
-  std::uint64_t tag = 0;
-  std::uint64_t timestamp = 0;
-  if (ev.size() != 2 || !ParseUint(ev[0], &tag) ||
-      !ParseUint(ev[1], &timestamp)) {
-    *reason =
-        StrFormat("expected '<tag> <timestamp>', got %zu fields", ev.size());
-    return false;
-  }
-  if (tag > 0xFFFF) {
-    *reason = StrFormat("tag %llu exceeds the 16-bit tag section",
-                        static_cast<unsigned long long>(tag));
-    return false;
-  }
-  if (timestamp > mask) {
-    *reason = StrFormat("timestamp %llu exceeds the %u-bit timer mask (%lu)",
-                        static_cast<unsigned long long>(timestamp), timer_bits,
-                        static_cast<unsigned long>(mask));
-    return false;
-  }
-  out->tag = static_cast<std::uint16_t>(tag);
-  out->timestamp = static_cast<std::uint32_t>(timestamp);
-  return true;
-}
-
-// A torn final line — wherever it falls — is tolerated in both modes (the
-// writer may be mid-append; --follow polls the same file the target is still
-// writing): everything parsed so far stands and truncated_tail is set.
-// Mid-file damage is a failure in strict mode; in salvage mode unreadable
-// lines count one corrupt word each and parsing resynchronises at the next
-// chunk boundary — or at the next run of intact event lines, which are kept
-// as a recovery chunk (a destroyed chunk header must not bill the events
-// behind it).
-bool ParseStreamText(std::string_view text, StreamCapture* out,
-                     std::vector<TraceDiag>* diags, bool salvage,
-                     std::uint64_t* corrupt_words, bool* header_ok) {
-  *header_ok = false;
-  const std::vector<std::string_view> lines = SplitLines(text);
-  if (lines.empty()) {
-    NoteDiag(diags, 1, "empty file: expected 'hwprof-stream v1 <bits> <hz>' header");
-    return false;
-  }
-  const std::vector<std::string_view> header = Split(lines[0], ' ');
-  if (header.size() != 4 || header[0] != "hwprof-stream" || header[1] != "v1") {
-    NoteDiag(diags, 1, "bad header: expected 'hwprof-stream v1 <bits> <hz>'");
-    return false;
-  }
-  std::uint64_t bits = 0;
-  std::uint64_t hz = 0;
-  if (!ParseUint(header[2], &bits) || bits < 8 || bits > 32) {
-    NoteDiag(diags, 1, "timer width must be a number in 8..32");
-    return false;
-  }
-  if (!ParseUint(header[3], &hz) || hz == 0) {
-    NoteDiag(diags, 1, "timer clock rate must be a positive number");
-    return false;
-  }
-  *header_ok = true;
-  StreamCapture capture;
-  capture.timer_bits = static_cast<unsigned>(bits);
-  capture.timer_clock_hz = hz;
-  const std::uint32_t mask =
-      bits >= 32 ? 0xFFFFFFFFu : ((1u << bits) - 1u);
-
-  std::size_t i = 1;
-  while (i < lines.size()) {
-    std::uint64_t count = 0;
-    std::uint64_t dropped = 0;
-    if (!ParseChunkHeader(lines[i], &count, &dropped)) {
-      if (i + 1 == lines.size()) {
-        capture.truncated_tail = true;  // torn chunk header mid-append
-        break;
-      }
-      NoteDiag(diags, static_cast<int>(i) + 1,
-               "expected 'chunk <count> <dropped>'");
-      if (!salvage) {
-        return false;
-      }
-      CountCorrupt(corrupt_words);
-      ++i;
-      // A destroyed chunk header orphans the intact event lines behind it.
-      // Salvage them into a recovery chunk (the bank boundary is gone, so
-      // its drop count is too) instead of billing each as a corrupt word.
-      TraceChunk recovered;
-      std::string reason;
-      RawEvent event;
-      std::uint64_t nc = 0;
-      std::uint64_t nd = 0;
-      while (i < lines.size() && !ParseChunkHeader(lines[i], &nc, &nd) &&
-             ParseEventLine(lines[i], mask, capture.timer_bits, &event,
-                            &reason)) {
-        recovered.events.push_back(event);
-        ++i;
-      }
-      if (!recovered.events.empty()) {
-        NoteDiag(diags, static_cast<int>(i),
-                 StrFormat("recovered %zu orphaned event lines after the "
-                           "unreadable chunk header",
-                           recovered.events.size()));
-        OBS_COUNT("socket.salvage_resyncs", 1);
-        capture.chunks.push_back(std::move(recovered));
-      }
-      continue;
-    }
-    ++i;
-    TraceChunk chunk;
-    chunk.dropped_before = dropped;
-    chunk.events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, lines.size())));
-    while (chunk.events.size() < count && i < lines.size()) {
-      const int line_no = static_cast<int>(i) + 1;
-      RawEvent event;
-      std::string reason;
-      if (!ParseEventLine(lines[i], mask, capture.timer_bits, &event,
-                          &reason)) {
-        if (i + 1 == lines.size()) {
-          ++i;  // torn final record: the short count marks the tail below
-          break;
-        }
-        NoteDiag(diags, line_no, std::move(reason));
-        if (!salvage) {
-          return false;
-        }
-        std::uint64_t nc = 0;
-        std::uint64_t nd = 0;
-        if (ParseChunkHeader(lines[i], &nc, &nd)) {
-          OBS_COUNT("socket.salvage_resyncs", 1);
-          break;  // chunk cut short; resynchronise at the bank boundary
-        }
-        CountCorrupt(corrupt_words);
-        ++i;
-        continue;
-      }
-      chunk.events.push_back(event);
-      ++i;
-    }
-    // Short only counts as a torn tail when the line supply actually ran
-    // out; a mid-file salvage resync at the next bank boundary is damage,
-    // not a writer still appending.
-    if (chunk.events.size() < count && i >= lines.size()) {
-      capture.truncated_tail = true;
-    }
-    capture.chunks.push_back(std::move(chunk));
-  }
-  *out = std::move(capture);
-  return true;
-}
-
-void ToColumns(const RawEvent* events, std::size_t count, SoaChunk* chunk) {
-  chunk->tags.resize(count);
-  chunk->timestamps.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    chunk->tags[i] = events[i].tag;
-    chunk->timestamps[i] = events[i].timestamp;
-  }
+void Append(SoaChunk* chunk, std::uint16_t tag, std::uint32_t timestamp) {
+  chunk->tags.push_back(tag);
+  chunk->timestamps.push_back(timestamp);
 }
 
 void ZipColumns(const SoaChunk& chunk, std::vector<RawEvent>* out) {
@@ -312,62 +57,284 @@ void AppendDiags(const CaptureReader& reader, std::vector<TraceDiag>* diags) {
 
 }  // namespace
 
+// The text twin of BinaryChunkReader: checks the header line when built,
+// and each Next() walks the lines from where the last one stopped, filling
+// the SoA columns directly. Diagnostics carry 1-based line numbers.
+//
+//   capture: "hwprof-raw v1 <bits> <hz> <overflowed>[ dropped=N][ elapsed=NS]",
+//            then '<tag> <timestamp>' lines, handed out in
+//            kBinaryCaptureChunkRecords slices.
+//   stream:  "hwprof-stream v1 <bits> <hz>", then "chunk <count> <dropped>"
+//            banks of record lines, handed out bank by bank.
+class CaptureReader::TextChunkReader {
+ public:
+  TextChunkReader(std::string_view text, bool stream, bool salvage);
+
+  bool header_ok() const { return header_ok_; }
+  unsigned timer_bits() const { return timer_bits_; }
+  std::uint64_t timer_clock_hz() const { return timer_clock_hz_; }
+  bool overflowed() const { return overflowed_; }
+  std::uint64_t dropped_events() const { return dropped_events_; }
+  std::uint64_t capture_elapsed_ns() const { return capture_elapsed_ns_; }
+
+  bool Next(SoaChunk* chunk) {
+    chunk->tags.clear();
+    chunk->timestamps.clear();
+    chunk->dropped_before = 0;
+    return header_ok_ && !failed_ && (stream_ ? NextBank(chunk) : NextSlice(chunk));
+  }
+
+  bool truncated_tail() const { return truncated_tail_; }
+  bool failed() const { return failed_; }
+  std::uint64_t corrupt_words() const { return corrupt_words_; }
+  const std::vector<TraceDiag>& diags() const { return diags_; }
+
+ private:
+  // One line of the text (the SplitLines rule: a final newline ends the
+  // last line rather than starting an empty one).
+  struct Line {
+    std::string_view text;
+    int number = 0;        // 1-based
+    std::size_t next = 0;  // where the line after it starts
+  };
+
+  // The line at the read position, without taking it; false at the end.
+  bool Peek(Line* line) const {
+    if (pos_ >= text_.size()) {
+      return false;
+    }
+    const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
+    *line = Line{text_.substr(pos_, end - pos_), line_no_, end + 1};
+    return true;
+  }
+  void Take(const Line& line) {
+    pos_ = line.next;
+    line_no_ = line.number + 1;
+  }
+  bool IsLast(const Line& line) const { return line.next >= text_.size(); }
+
+  bool Damage(int line, std::string message, std::uint64_t lost) {
+    return BookDamage(TraceDiag{line, std::move(message)}, lost, salvage_, &diags_,
+                      &corrupt_words_, &failed_);
+  }
+  void ParseHeader(std::string_view line);
+  bool NextSlice(SoaChunk* chunk);
+  bool NextBank(SoaChunk* chunk);
+
+  std::string_view text_;
+  bool stream_ = false;
+  bool salvage_ = false;
+  std::size_t pos_ = 0;
+  int line_no_ = 1;
+  bool header_ok_ = false;
+  unsigned timer_bits_ = 24;
+  std::uint64_t timer_clock_hz_ = 1'000'000;
+  bool overflowed_ = false;
+  std::uint64_t dropped_events_ = 0;
+  std::uint64_t capture_elapsed_ns_ = 0;
+  bool failed_ = false;
+  bool truncated_tail_ = false;
+  std::uint64_t corrupt_words_ = 0;
+  std::vector<TraceDiag> diags_;
+};
+
+CaptureReader::TextChunkReader::TextChunkReader(std::string_view text, bool stream,
+                                                bool salvage)
+    : text_(text), stream_(stream), salvage_(salvage) {
+  Line line;
+  if (!Peek(&line)) {
+    diags_.push_back(TraceDiag{1, "empty file: expected 'hwprof-raw v1 ...' header"});
+    return;
+  }
+  Take(line);
+  ParseHeader(line.text);
+}
+
+// A header problem is no damage: nothing after an unusable header can be
+// trusted, so header_ok() stays false in both modes.
+void CaptureReader::TextChunkReader::ParseHeader(std::string_view line) {
+  auto refuse = [this](std::string message) {
+    diags_.push_back(TraceDiag{1, std::move(message)});
+  };
+  const std::vector<std::string_view> fields = Split(line, ' ');
+  const bool shaped = stream_ ? fields.size() == 4 && fields[0] == "hwprof-stream"
+                              : fields.size() >= 5 && fields[0] == "hwprof-raw";
+  if (!shaped || fields[1] != "v1") {
+    refuse(stream_ ? "bad header: expected 'hwprof-stream v1 <bits> <hz>'"
+                   : "bad header: expected 'hwprof-raw v1 <bits> <hz> <overflowed>'");
+    return;
+  }
+  // An unparsable field stays 0, which CheckTimerFields refuses.
+  std::uint64_t bits = 0;
+  std::uint64_t hz = 0;
+  ParseUint(fields[2], &bits);
+  ParseUint(fields[3], &hz);
+  switch (CheckTimerFields(bits, hz)) {
+    case kTimerWidthFault:
+      refuse("timer width must be a number in 8..32");
+      return;
+    case kTimerClockFault:
+      refuse("timer clock rate must be a positive number");
+      return;
+    case kTimerFieldsSound:
+      break;
+  }
+  timer_bits_ = static_cast<unsigned>(bits);
+  timer_clock_hz_ = hz;
+  if (!stream_) {
+    std::uint64_t overflow = 0;
+    if (!ParseUint(fields[4], &overflow) || overflow > 1) {
+      refuse("overflowed flag must be 0 or 1");
+      return;
+    }
+    overflowed_ = overflow == 1;
+    // Optional key=value header tokens (dropped=N, elapsed=NS).
+    for (std::size_t h = 5; h < fields.size(); ++h) {
+      const std::string_view token = fields[h];
+      const std::size_t eq = token.find('=');
+      std::uint64_t value = 0;
+      if (eq == std::string_view::npos || !ParseUint(token.substr(eq + 1), &value)) {
+        refuse(StrFormat("bad header token '%.*s': expected key=<number>",
+                         static_cast<int>(token.size()), token.data()));
+        return;
+      }
+      const std::string_view key = token.substr(0, eq);
+      if (key == "dropped") {
+        dropped_events_ = value;
+      } else if (key == "elapsed") {
+        capture_elapsed_ns_ = value;
+      } else {
+        refuse(StrFormat("unknown header token '%.*s'", static_cast<int>(token.size()),
+                         token.data()));
+        return;
+      }
+    }
+  }
+  header_ok_ = true;
+}
+
+// Up to kBinaryCaptureChunkRecords records. Salvage skips each bad line as
+// one corrupt word; strict fails at the first but checks every line after it
+// for diagnostics only, so one pass reports them all.
+bool CaptureReader::TextChunkReader::NextSlice(SoaChunk* chunk) {
+  Line line;
+  while ((failed_ || chunk->tags.size() < kBinaryCaptureChunkRecords) && Peek(&line)) {
+    Take(line);
+    std::uint16_t tag = 0;
+    std::uint32_t timestamp = 0;
+    std::string reason = ParseRecord(line.text, timer_bits_, &tag, &timestamp);
+    if (!reason.empty()) {
+      Damage(line.number, std::move(reason), 1);
+    } else if (!failed_) {
+      Append(chunk, tag, timestamp);
+    }
+  }
+  return !failed_ && !chunk->tags.empty();
+}
+
+// One bank. A torn final line — wherever it falls — is tolerated in both
+// modes (the writer may be mid-append; --follow polls the file the target
+// is still writing): what was read stands and truncated_tail() is set.
+// Mid-file damage fails a strict reader; salvage counts each unreadable line
+// as one corrupt word and resynchronises at the next bank header — or at the
+// next run of intact record lines, handed out as a recovery chunk (a
+// destroyed bank header must not bill the records behind it).
+bool CaptureReader::TextChunkReader::NextBank(SoaChunk* chunk) {
+  Line line;
+  std::uint16_t tag = 0;
+  std::uint32_t timestamp = 0;
+  while (Peek(&line)) {
+    Take(line);
+    std::uint64_t count = 0;
+    if (!ParseBankHeader(line.text, &count, &chunk->dropped_before)) {
+      if (IsLast(line)) {
+        truncated_tail_ = true;  // torn bank header mid-append
+        return false;
+      }
+      if (!Damage(line.number, "expected 'chunk <count> <dropped>'", 1)) {
+        return false;
+      }
+      // The intact record lines behind it become a recovery chunk; the bank
+      // boundary is gone, and its drop count (0 here) with it.
+      Line orphan;
+      while (Peek(&orphan) && ParseRecord(orphan.text, timer_bits_, &tag, &timestamp).empty()) {
+        Take(orphan);
+        Append(chunk, tag, timestamp);
+      }
+      if (!chunk->tags.empty()) {
+        diags_.push_back(TraceDiag{line_no_ - 1,
+                                   StrFormat("recovered %zu orphaned event lines after the "
+                                             "unreadable chunk header",
+                                             chunk->tags.size())});
+        OBS_COUNT("socket.salvage_resyncs", 1);
+        return true;
+      }
+      continue;
+    }
+    while (chunk->tags.size() < count && Peek(&line)) {
+      std::string reason = ParseRecord(line.text, timer_bits_, &tag, &timestamp);
+      if (reason.empty()) {
+        Take(line);
+        Append(chunk, tag, timestamp);
+        continue;
+      }
+      if (IsLast(line)) {
+        Take(line);  // torn final record: the short count marks the tail below
+        break;
+      }
+      // A bank header cut this bank short: resynchronise there.
+      std::uint64_t next_count = 0;
+      std::uint64_t next_dropped = 0;
+      const bool boundary = ParseBankHeader(line.text, &next_count, &next_dropped);
+      if (!Damage(line.number, std::move(reason), boundary ? 0 : 1)) {
+        return false;
+      }
+      if (boundary) {
+        OBS_COUNT("socket.salvage_resyncs", 1);
+        break;
+      }
+      Take(line);
+    }
+    // Short only counts as a torn tail when the text ran out; a mid-file
+    // salvage resync at the next bank header is damage, not a writer still
+    // appending.
+    if (chunk->tags.size() < count && pos_ >= text_.size()) {
+      truncated_tail_ = true;
+    }
+    return true;
+  }
+  return false;
+}
+
+
 CaptureReader::CaptureReader(std::string_view bytes, bool salvage) {
+  auto take_header = [this](const auto& reader) {
+    header_ok_ = reader.header_ok();
+    timer_bits_ = reader.timer_bits();
+    timer_clock_hz_ = reader.timer_clock_hz();
+    if (!stream_) {
+      overflowed_ = reader.overflowed();
+      capture_elapsed_ns_ = reader.capture_elapsed_ns();
+      dropped_events_ = reader.dropped_events();
+    }
+  };
   if (LooksBinaryContainer(bytes)) {
     format_ = CaptureFormat::kBinary;
     binary_.emplace(bytes, salvage);
-    header_ok_ = binary_->header_ok();
     stream_ = binary_->kind() == BinaryKind::kStream;
-    timer_bits_ = binary_->timer_bits();
-    timer_clock_hz_ = binary_->timer_clock_hz();
-    if (!stream_) {
-      overflowed_ = binary_->overflowed();
-      capture_elapsed_ns_ = binary_->capture_elapsed_ns();
-      dropped_events_ = binary_->dropped_events();
-    }
-    return;
+    take_header(*binary_);
+  } else {
+    stream_ = StartsWith(bytes, "hwprof-stream");
+    text_ = std::make_unique<TextChunkReader>(bytes, stream_, salvage);
+    take_header(*text_);
   }
-  stream_ = StartsWith(bytes, "hwprof-stream");
-  if (stream_) {
-    text_failed_ = !ParseStreamText(bytes, &text_stream_, &diags_, salvage,
-                                    &text_corrupt_words_, &header_ok_);
-    timer_bits_ = text_stream_.timer_bits;
-    timer_clock_hz_ = text_stream_.timer_clock_hz;
-    return;
-  }
-  text_failed_ = !ParseCaptureText(bytes, &text_capture_, &diags_, salvage,
-                                   &text_corrupt_words_, &header_ok_);
-  timer_bits_ = text_capture_.timer_bits;
-  timer_clock_hz_ = text_capture_.timer_clock_hz;
-  overflowed_ = text_capture_.overflowed;
-  capture_elapsed_ns_ = text_capture_.capture_elapsed_ns;
-  dropped_events_ = text_capture_.dropped_events;
 }
 
+CaptureReader::~CaptureReader() = default;
+
 bool CaptureReader::Next(SoaChunk* chunk) {
-  if (failed()) {
+  if (failed() || !(binary_ ? binary_->Next(chunk) : text_->Next(chunk))) {
     return false;
-  }
-  if (binary_) {
-    if (!binary_->Next(chunk)) {
-      return false;
-    }
-  } else if (stream_) {
-    if (next_ >= text_stream_.chunks.size()) {
-      return false;
-    }
-    const TraceChunk& bank = text_stream_.chunks[next_++];
-    ToColumns(bank.events.data(), bank.events.size(), chunk);
-    chunk->dropped_before = bank.dropped_before;
-  } else {
-    const std::vector<RawEvent>& events = text_capture_.events;
-    if (next_ >= events.size()) {
-      return false;
-    }
-    const std::size_t n = std::min(kBinaryCaptureChunkRecords, events.size() - next_);
-    ToColumns(events.data() + next_, n, chunk);
-    chunk->dropped_before = 0;
-    next_ += n;
   }
   if (stream_) {
     OBS_COUNT("socket.dropped_events", chunk->dropped_before);
@@ -391,22 +358,19 @@ bool CaptureReader::ExpectKind(bool stream) {
 }
 
 bool CaptureReader::truncated_tail() const {
-  return binary_ ? binary_->truncated_tail() : text_stream_.truncated_tail;
+  return binary_ ? binary_->truncated_tail() : text_->truncated_tail();
 }
 
 bool CaptureReader::failed() const {
-  return !header_ok_ || wrong_kind_ || text_failed_ || (binary_ && binary_->failed());
+  return !header_ok_ || wrong_kind_ || (binary_ ? binary_->failed() : text_->failed());
 }
 
 std::uint64_t CaptureReader::corrupt_words() const {
-  return binary_ ? binary_->corrupt_words() : text_corrupt_words_;
+  return binary_ ? binary_->corrupt_words() : text_->corrupt_words();
 }
 
 std::vector<TraceDiag> CaptureReader::diags() const {
-  if (!binary_) {
-    return diags_;
-  }
-  std::vector<TraceDiag> all = binary_->diags();
+  std::vector<TraceDiag> all = binary_ ? binary_->diags() : text_->diags();
   all.insert(all.end(), diags_.begin(), diags_.end());
   return all;
 }
@@ -460,19 +424,6 @@ bool DecodeCaptureBinary(std::string_view bytes, RawTrace* out,
                          std::vector<TraceDiag>* diags) {
   CaptureReader reader(bytes, /*salvage=*/false);
   return ReadCapture(reader, out, diags);
-}
-
-bool RawTrace::Deserialize(const std::string& text, RawTrace* out,
-                           std::vector<TraceDiag>* diags) {
-  bool header_ok = false;
-  return ParseCaptureText(text, out, diags, /*salvage=*/false, nullptr, &header_ok);
-}
-
-bool RawTrace::DeserializeSalvage(const std::string& text, RawTrace* out,
-                                  std::vector<TraceDiag>* diags,
-                                  std::uint64_t* corrupt_words) {
-  bool header_ok = false;
-  return ParseCaptureText(text, out, diags, /*salvage=*/true, corrupt_words, &header_ok);
 }
 
 }  // namespace hwprof

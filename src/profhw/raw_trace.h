@@ -46,6 +46,36 @@ struct TraceDiag {
   std::string message;
 };
 
+// --- The checks and the damage rule every capture reader shares -------------
+//
+// The text reader behind CaptureReader (src/profhw/capture_reader.cc) and
+// BinaryChunkReader (src/profhw/binary_trace.h) check header fields and
+// records here and book every damage through BookDamage, so both formats
+// refuse, count and explain the same things the same way.
+
+// Timer counter mask (2^timer_bits - 1).
+constexpr std::uint32_t TimerMaskFor(unsigned timer_bits) {
+  return timer_bits >= 32 ? 0xFFFFFFFFu : ((1u << timer_bits) - 1u);
+}
+
+// Which timer field of a capture header is unusable: the width must be
+// 8..32 bits and the clock rate positive. The width is checked first.
+enum TimerFieldFault { kTimerFieldsSound, kTimerWidthFault, kTimerClockFault };
+TimerFieldFault CheckTimerFields(std::uint64_t timer_bits, std::uint64_t timer_clock_hz);
+
+// Why a (tag, timestamp) record cannot have come from the board — a tag
+// beyond the 16-bit tag section or a timestamp beyond the timer mask — or
+// empty when it could.
+std::string RecordFault(std::uint64_t tag, std::uint64_t timestamp, unsigned timer_bits);
+
+// The one damage rule: `diag` is appended to *diags; a strict reader is
+// marked *failed; a salvage reader adds `lost` unreadable words to
+// *corrupt_words and to socket.corrupt_lines. Returns whether reading may go
+// on (that is, !*failed).
+bool BookDamage(TraceDiag diag, std::uint64_t lost, bool salvage,
+                std::vector<TraceDiag>* diags, std::uint64_t* corrupt_words,
+                bool* failed);
+
 struct RawTrace {
   std::vector<RawEvent> events;
   unsigned timer_bits = 24;
@@ -64,36 +94,15 @@ struct RawTrace {
   std::uint64_t capture_elapsed_ns = 0;
 
   // Timer counter mask (2^timer_bits - 1) for this capture's header.
-  std::uint32_t TimerMask() const {
-    return timer_bits >= 32 ? 0xFFFFFFFFu : ((1u << timer_bits) - 1u);
-  }
+  std::uint32_t TimerMask() const { return TimerMaskFor(timer_bits); }
 
   // Serialises to the simple line format uploaded to the UNIX host:
   //   "hwprof-raw v1 <timer_bits> <clock_hz> <overflowed>[ dropped=N][ elapsed=NS]"
   // then one "<tag> <timestamp>" line per event. The optional key=value
   // header tokens are emitted only when nonzero, so captures from
   // single-buffer boards round-trip through the original 5-field header.
+  // CaptureReader + ReadCapture (src/profhw/capture_reader.h) read it back.
   std::string Serialize() const;
-
-  // Parses the upload format (the text capture parser behind CaptureReader,
-  // src/profhw/capture_reader.cc). Returns false on malformed input, leaving
-  // `*out` unspecified. When `diags` is non-null every problem found is
-  // appended with its 1-based line number and reason (parsing continues
-  // past bad event lines so one pass reports them all).
-  static bool Deserialize(const std::string& text, RawTrace* out,
-                          std::vector<TraceDiag>* diags);
-  static bool Deserialize(const std::string& text, RawTrace* out) {
-    return Deserialize(text, out, nullptr);
-  }
-
-  // Salvage parse: the header must be sound, but corrupt event lines are
-  // counted into `*corrupt_words`, reported into `diags` (when non-null)
-  // and skipped; every parseable event is kept. A timestamp wider than the
-  // header's timer mask is a corrupt word here (the counter cannot have
-  // produced it). Returns false only when the header itself is unusable.
-  static bool DeserializeSalvage(const std::string& text, RawTrace* out,
-                                 std::vector<TraceDiag>* diags,
-                                 std::uint64_t* corrupt_words);
 };
 
 }  // namespace hwprof

@@ -954,5 +954,132 @@ TEST(TextStreamSalvage, CorruptionSpanningAChunkBoundaryCountsOnce) {
   EXPECT_EQ(stream.chunks[1].events.size(), 1u);
 }
 
+// --- The text reader: chunk by chunk, one damage rule ------------------------
+
+TEST(TextReader, CaptureIsHandedOutInBoundedSlices) {
+  // A text capture comes out kBinaryCaptureChunkRecords records at a time,
+  // like hwpb, so memory is one chunk whatever the capture's length.
+  const std::size_t n = 2 * kBinaryCaptureChunkRecords + 5;
+  const std::string text = TwoByteRecordTrace(n).Serialize();
+  CaptureReader reader(text, /*salvage=*/false);
+  SoaChunk chunk;
+  std::vector<std::size_t> sizes;
+  while (reader.Next(&chunk)) {
+    sizes.push_back(chunk.tags.size());
+  }
+  EXPECT_FALSE(reader.failed());
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{kBinaryCaptureChunkRecords,
+                                             kBinaryCaptureChunkRecords, 5}));
+}
+
+TEST(TextReader, StrictCaptureStopsAtTheFirstBadLineButListsEveryOne) {
+  // Two bad lines, the first one past the first slice: strict hands out the
+  // first slice, fails on the second, and still names both lines; salvage
+  // keeps every other record and bills one corrupt word per bad line.
+  const std::size_t n = kBinaryCaptureChunkRecords + 100;
+  std::string text = TwoByteRecordTrace(n).Serialize();
+  auto spoil_line = [&text](std::size_t line_no) {  // 1-based, header = 1
+    std::size_t at = 0;
+    for (std::size_t i = 1; i < line_no; ++i) {
+      at = text.find('\n', at) + 1;
+    }
+    text.replace(at, text.find('\n', at) - at, "junk");
+  };
+  const std::size_t first_bad = kBinaryCaptureChunkRecords + 10;
+  spoil_line(first_bad);
+  spoil_line(n + 1);  // the last record
+
+  CaptureReader strict(text, /*salvage=*/false);
+  SoaChunk chunk;
+  ASSERT_TRUE(strict.Next(&chunk));
+  EXPECT_EQ(chunk.tags.size(), kBinaryCaptureChunkRecords);
+  EXPECT_FALSE(strict.Next(&chunk));
+  EXPECT_TRUE(strict.failed());
+  const std::vector<TraceDiag> diags = strict.diags();
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].line, static_cast<int>(first_bad));
+  EXPECT_EQ(diags[1].line, static_cast<int>(n + 1));
+
+  RawTrace salvaged;
+  std::uint64_t corrupt = 0;
+  ASSERT_TRUE(ReadCaptureBytes(text, /*salvage=*/true, &salvaged, nullptr, &corrupt));
+  EXPECT_EQ(corrupt, 2u);
+  EXPECT_EQ(salvaged.events.size(), n - 2);
+}
+
+TEST(TextReader, SameBadLineGetsTheSameReasonInACaptureAndAStream) {
+  // One record check serves both text formats.
+  for (const std::string bad : {"12 abc", "1 2 3", "70000 5", "5 16777216", ""}) {
+    RawTrace raw;
+    StreamCapture stream;
+    std::vector<TraceDiag> capture_diags;
+    std::vector<TraceDiag> stream_diags;
+    EXPECT_FALSE(ReadCaptureBytes("hwprof-raw v1 24 1000000 0\n100 10\n" + bad + "\n100 20\n",
+                                  /*salvage=*/false, &raw, &capture_diags));
+    EXPECT_FALSE(ReadStreamBytes(
+        "hwprof-stream v1 24 1000000\nchunk 3 0\n100 10\n" + bad + "\n100 20\n",
+        /*salvage=*/false, &stream, &stream_diags));
+    ASSERT_EQ(capture_diags.size(), 1u) << bad;
+    ASSERT_EQ(stream_diags.size(), 1u) << bad;
+    EXPECT_EQ(capture_diags[0].line, 3);
+    EXPECT_EQ(stream_diags[0].line, 4);
+    EXPECT_EQ(stream_diags[0].message, capture_diags[0].message) << bad;
+  }
+  StreamCapture stream;
+  std::vector<TraceDiag> diags;
+  EXPECT_FALSE(ReadStreamBytes("hwprof-stream v1 24 1000000\nchunk 2 0\n12 abc\n100 20\n",
+                               /*salvage=*/false, &stream, &diags));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].message, "tag and timestamp must be non-negative decimal numbers");
+}
+
+TEST(TextReader, WrongKindIsRefusedBeforeAnyBodyIsRead) {
+  // The kind check comes before the first chunk, so a damaged body of the
+  // wrong kind yields the refusal alone.
+  StreamCapture stream;
+  std::vector<TraceDiag> diags;
+  EXPECT_FALSE(ReadStreamBytes("hwprof-raw v1 24 1000000 0\njunk\n100 1\n",
+                               /*salvage=*/false, &stream, &diags));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].line, 1);
+  EXPECT_EQ(diags[0].message, "capture file where a stream was expected");
+
+  RawTrace raw;
+  diags.clear();
+  EXPECT_FALSE(ReadCaptureBytes("hwprof-stream v1 24 1000000\nchunk 1 0\njunk\nchunk 1 0\n",
+                                /*salvage=*/true, &raw, &diags));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].message, "stream file where a capture was expected");
+}
+
+TEST(TextReader, EveryFormatBooksSalvagedWordsIntoTheSameCounter) {
+  // One damage rule: salvaged words land in corrupt_words() and in
+  // socket.corrupt_lines alike for a text capture, a text stream and hwpb.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  RawTrace bad_mask = TwoByteRecordTrace(100);
+  bad_mask.timer_bits = 8;  // the 15 timestamps past 255 are corrupt words
+  std::string spoiled_crc = EncodeCaptureBinary(TwoByteRecordTrace(8));
+  spoiled_crc[NthChunkOffset(spoiled_crc, 0) + 20] ^= 0x01;
+  for (const std::string& bytes :
+       {std::string("hwprof-raw v1 24 1000000 0\n100 10\njunk\n1 2 3\n100 20\n"),
+        std::string("hwprof-stream v1 24 1000000\nchunk 3 0\n100 10\njunk\n100 20\n"
+                    "chXnk\n100 30\n"),
+        EncodeCaptureBinary(bad_mask), spoiled_crc}) {
+    obs::ResetTelemetry();
+    CaptureReader reader(bytes, /*salvage=*/true);
+    SoaChunk chunk;
+    while (reader.Next(&chunk)) {
+    }
+    EXPECT_FALSE(reader.failed());
+    EXPECT_GT(reader.corrupt_words(), 0u) << bytes;
+    EXPECT_EQ(CounterValue(obs::GlobalSnapshot(), "socket.corrupt_lines"),
+              reader.corrupt_words())
+        << bytes;
+  }
+  obs::ResetTelemetry();
+  obs::SetEnabled(was_enabled);
+}
+
 }  // namespace
 }  // namespace hwprof

@@ -16,6 +16,7 @@
 #include "src/analysis/summary.h"
 #include "src/analysis/process_report.h"
 #include "src/base/rng.h"
+#include "src/profhw/capture_reader.h"
 #include "src/profhw/fault_injection.h"
 #include "src/profhw/raw_trace.h"
 #include "src/profhw/usec_timer.h"
@@ -103,7 +104,8 @@ TEST_P(FaultPlanFuzzTest, CorruptedUploadTextSalvagesIdenticallyOnEveryPath) {
   // succeeds), or it must be reported with 1-based line diagnostics.
   RawTrace strict;
   std::vector<TraceDiag> diags;
-  if (!RawTrace::Deserialize(corrupted, &strict, &diags)) {
+  CaptureReader strict_reader(corrupted, /*salvage=*/false);
+  if (!ReadCapture(strict_reader, &strict, &diags)) {
     ASSERT_FALSE(diags.empty()) << "failure without a diagnostic";
     for (const TraceDiag& d : diags) {
       EXPECT_GT(d.line, 0);
@@ -115,10 +117,9 @@ TEST_P(FaultPlanFuzzTest, CorruptedUploadTextSalvagesIdenticallyOnEveryPath) {
   // so salvage must always succeed, counting each unreadable line.
   RawTrace salvaged;
   std::vector<TraceDiag> salvage_diags;
-  std::uint64_t corrupt_words = 0;
-  ASSERT_TRUE(RawTrace::DeserializeSalvage(corrupted, &salvaged, &salvage_diags,
-                                           &corrupt_words))
-      << "seed " << seed;
+  CaptureReader salvage_reader(corrupted, /*salvage=*/true);
+  ASSERT_TRUE(ReadCapture(salvage_reader, &salvaged, &salvage_diags)) << "seed " << seed;
+  const std::uint64_t corrupt_words = salvage_reader.corrupt_words();
   EXPECT_EQ(corrupt_words, salvage_diags.size());
   ExpectAllPathsAgree(salvaged, names, corrupt_words,
                       "salvage seed " + std::to_string(seed));

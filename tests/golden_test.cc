@@ -22,6 +22,7 @@
 #include "src/analysis/trace_report.h"
 #include "src/base/assert.h"
 #include "src/profhw/binary_trace.h"
+#include "src/profhw/capture_reader.h"
 #include "src/profhw/fault_injection.h"
 #include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
@@ -159,7 +160,8 @@ TEST(Golden, BinaryNetReceiveCaptureIsTheTextGoldensTwin) {
       << text_path << " is missing; regenerate via export_test with "
       << "HWPROF_REGEN_GOLDEN=1 first";
   RawTrace raw;
-  ASSERT_TRUE(RawTrace::Deserialize(text, &raw));
+  CaptureReader reader(text, /*salvage=*/false);
+  ASSERT_TRUE(ReadCapture(reader, &raw, nullptr));
   CheckGolden("net_receive.capture.bin", EncodeCaptureBinary(raw));
 
   std::string bin;
@@ -208,7 +210,8 @@ const std::string& DamagedCapturePath() {
     std::string text;
     HWPROF_CHECK(ReadFile(GoldenPath("net_receive.capture"), &text));
     RawTrace clean;
-    HWPROF_CHECK(RawTrace::Deserialize(text, &clean));
+    CaptureReader reader(text, /*salvage=*/false);
+    HWPROF_CHECK(ReadCapture(reader, &clean, nullptr));
     FaultPlan plan;
     plan.seed = 17;
     plan.word_bitflip_rate = 0.002;
@@ -227,7 +230,8 @@ TEST(Golden, DamagedCaptureCoversEveryClosePath) {
   std::string text;
   ASSERT_TRUE(ReadFile(DamagedCapturePath(), &text));
   RawTrace raw;
-  ASSERT_TRUE(RawTrace::Deserialize(text, &raw));
+  CaptureReader reader(text, /*salvage=*/false);
+  ASSERT_TRUE(ReadCapture(reader, &raw, nullptr));
   std::string names_text;
   ASSERT_TRUE(ReadFile(GoldenPath("net_receive.names"), &names_text));
   TagFile names;

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/base/rng.h"
+#include "src/profhw/capture_reader.h"
 #include "src/profhw/event_ram.h"
 #include "src/profhw/profiler.h"
 #include "src/profhw/raw_trace.h"
@@ -188,6 +189,12 @@ TEST(Profiler, TimestampWrapsWithTheCounter) {
 
 // --- RawTrace serialisation ---------------------------------------------------------------
 
+// Reads capture text back the way every tool does: CaptureReader + ReadCapture.
+bool ReadText(const std::string& text, RawTrace* out, std::vector<TraceDiag>* diags = nullptr) {
+  CaptureReader reader(text, /*salvage=*/false);
+  return ReadCapture(reader, out, diags);
+}
+
 TEST(RawTrace, SerializeDeserializeRoundTrip) {
   RawTrace trace;
   trace.timer_bits = 24;
@@ -195,7 +202,7 @@ TEST(RawTrace, SerializeDeserializeRoundTrip) {
   trace.overflowed = true;
   trace.events = {{502, 100}, {503, 0xFFFFFF}, {0, 0}};
   RawTrace loaded;
-  ASSERT_TRUE(RawTrace::Deserialize(trace.Serialize(), &loaded));
+  ASSERT_TRUE(ReadText(trace.Serialize(), &loaded));
   EXPECT_EQ(loaded.events, trace.events);
   EXPECT_EQ(loaded.timer_bits, trace.timer_bits);
   EXPECT_EQ(loaded.timer_clock_hz, trace.timer_clock_hz);
@@ -219,12 +226,12 @@ TEST(RawTrace, RoundTripRandomised) {
     const std::size_t n = rng.NextBelow(200);
     for (std::size_t i = 0; i < n; ++i) {
       // Stored timestamps never exceed the header's timer width — that is
-      // exactly what Deserialize validates.
+      // exactly what the reader validates.
       trace.events.push_back(RawEvent{static_cast<std::uint16_t>(rng.NextBelow(65536)),
                                       static_cast<std::uint32_t>(rng.NextBelow(1u << 24)) & mask});
     }
     RawTrace loaded;
-    ASSERT_TRUE(RawTrace::Deserialize(trace.Serialize(), &loaded));
+    ASSERT_TRUE(ReadText(trace.Serialize(), &loaded));
     EXPECT_EQ(loaded.events, trace.events);
     EXPECT_EQ(loaded.dropped_events, trace.dropped_events);
     EXPECT_EQ(loaded.capture_elapsed_ns, trace.capture_elapsed_ns);
@@ -234,13 +241,13 @@ TEST(RawTrace, RoundTripRandomised) {
 
 TEST(RawTrace, DeserializeRejectsGarbage) {
   RawTrace out;
-  EXPECT_FALSE(RawTrace::Deserialize("", &out));
-  EXPECT_FALSE(RawTrace::Deserialize("not-a-capture\n", &out));
-  EXPECT_FALSE(RawTrace::Deserialize("hwprof-raw v2 24 1000000 0\n", &out));
-  EXPECT_FALSE(RawTrace::Deserialize("hwprof-raw v1 24 1000000 0\n1 2 3\n", &out));
-  EXPECT_FALSE(RawTrace::Deserialize("hwprof-raw v1 24 1000000 0\n99999999 1\n", &out));
-  EXPECT_FALSE(RawTrace::Deserialize("hwprof-raw v1 99 1000000 0\n", &out));
-  EXPECT_FALSE(RawTrace::Deserialize("hwprof-raw v1 24 1000000 0 bogus=1\n", &out));
+  EXPECT_FALSE(ReadText("", &out));
+  EXPECT_FALSE(ReadText("not-a-capture\n", &out));
+  EXPECT_FALSE(ReadText("hwprof-raw v2 24 1000000 0\n", &out));
+  EXPECT_FALSE(ReadText("hwprof-raw v1 24 1000000 0\n1 2 3\n", &out));
+  EXPECT_FALSE(ReadText("hwprof-raw v1 24 1000000 0\n99999999 1\n", &out));
+  EXPECT_FALSE(ReadText("hwprof-raw v1 99 1000000 0\n", &out));
+  EXPECT_FALSE(ReadText("hwprof-raw v1 24 1000000 0 bogus=1\n", &out));
 }
 
 TEST(RawTrace, DeserializeRejectsTimestampsBeyondTheTimerMask) {
@@ -248,21 +255,20 @@ TEST(RawTrace, DeserializeRejectsTimestampsBeyondTheTimerMask) {
   // produced that word.
   RawTrace out;
   std::vector<TraceDiag> diags;
-  EXPECT_FALSE(RawTrace::Deserialize("hwprof-raw v1 16 1000000 0\n100 65536\n",
-                                     &out, &diags));
+  EXPECT_FALSE(ReadText("hwprof-raw v1 16 1000000 0\n100 65536\n", &out, &diags));
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].line, 2);
   EXPECT_NE(diags[0].message.find("exceeds the 16-bit timer mask"),
             std::string::npos);
   // The same value under a wider header is fine.
-  EXPECT_TRUE(RawTrace::Deserialize("hwprof-raw v1 24 1000000 0\n100 65536\n", &out));
+  EXPECT_TRUE(ReadText("hwprof-raw v1 24 1000000 0\n100 65536\n", &out));
 }
 
 TEST(RawTrace, DeserializeReportsEveryBadLineWithItsNumber) {
   RawTrace out;
   std::vector<TraceDiag> diags;
-  EXPECT_FALSE(RawTrace::Deserialize(
-      "hwprof-raw v1 24 1000000 0\n100 10\njunk\n100 20\n1 2 3\n", &out, &diags));
+  EXPECT_FALSE(
+      ReadText("hwprof-raw v1 24 1000000 0\n100 10\njunk\n100 20\n1 2 3\n", &out, &diags));
   ASSERT_EQ(diags.size(), 2u);
   EXPECT_EQ(diags[0].line, 3);
   EXPECT_EQ(diags[1].line, 5);
@@ -272,11 +278,10 @@ TEST(RawTrace, DeserializeReportsEveryBadLineWithItsNumber) {
 TEST(RawTrace, SalvageKeepsGoodEventsAndCountsCorruptWords) {
   RawTrace out;
   std::vector<TraceDiag> diags;
-  std::uint64_t corrupt = 0;
-  ASSERT_TRUE(RawTrace::DeserializeSalvage(
-      "hwprof-raw v1 24 1000000 0\n100 10\njunk\n100 20\n1 2 3\n", &out, &diags,
-      &corrupt));
-  EXPECT_EQ(corrupt, 2u);
+  CaptureReader reader("hwprof-raw v1 24 1000000 0\n100 10\njunk\n100 20\n1 2 3\n",
+                       /*salvage=*/true);
+  ASSERT_TRUE(ReadCapture(reader, &out, &diags));
+  EXPECT_EQ(reader.corrupt_words(), 2u);
   EXPECT_EQ(diags.size(), 2u);
   ASSERT_EQ(out.events.size(), 2u);
   EXPECT_EQ(out.events[0], (RawEvent{100, 10}));

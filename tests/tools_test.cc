@@ -15,6 +15,7 @@
 #include "src/workloads/workloads.h"
 #include "tools/analyze_main.h"
 #include "tools/capture_main.h"
+#include "tools/export_main.h"
 #include "tools/hwprofd_main.h"
 #include "tools/lint_main.h"
 
@@ -148,6 +149,47 @@ TEST(AnalyzeCli, ErrorsAreReported) {
   error.clear();
   EXPECT_NE(RunCli({files.capture.c_str(), files.names.c_str(), "--bogus"}, &error), 0);
   EXPECT_NE(error.find("unknown option"), std::string::npos);
+}
+
+TEST(AnalyzeCli, JobsIsParsedOneWayByEveryEntryPoint) {
+  // `--jobs N` is accepted and ignored by the report run, --follow, --diff
+  // and hwprof_export; a missing or non-numeric N is the same usage error
+  // (exit 2, one message) in all four.
+  const CliFiles files = WriteSessionFiles();
+  const std::string stream = ::testing::TempDir() + "/cli_jobs.hwstream";
+  ASSERT_TRUE(SaveStreamHeader(stream, 24, 1'000'000, CaptureFormat::kText));
+  ASSERT_TRUE(AppendStreamChunk(stream, TraceChunk{{{100, 1}, {101, 5}}, 0}));
+  const std::string exported = ::testing::TempDir() + "/cli_jobs.folded";
+  const char* capture = files.capture.c_str();
+  const char* names = files.names.c_str();
+  const std::vector<std::vector<const char*>> entry_points = {
+      {"hwprof_analyze", capture, names},
+      {"hwprof_analyze", stream.c_str(), names, "--follow"},
+      {"hwprof_analyze", "--diff", capture, capture, names},
+      {"hwprof_export", capture, names, "--format", "folded", "--out", exported.c_str()},
+  };
+  auto run = [](std::vector<const char*> argv, std::initializer_list<const char*> jobs,
+                std::string* error) {
+    argv.insert(argv.end(), jobs.begin(), jobs.end());
+    ::testing::internal::CaptureStdout();
+    const int argc = static_cast<int>(argv.size());
+    const int rc = std::string(argv[0]) == "hwprof_export"
+                       ? ExportMain(argc, argv.data(), error)
+                       : AnalyzeMain(argc, argv.data(), error);
+    ::testing::internal::GetCapturedStdout();
+    return rc;
+  };
+  for (const std::vector<const char*>& argv : entry_points) {
+    const std::string what = StrFormat("%s %s", argv[0], argv[1]);
+    std::string error;
+    EXPECT_EQ(run(argv, {"--jobs", "3"}, &error), 0) << what << ": " << error;
+    error.clear();
+    EXPECT_EQ(run(argv, {"--jobs", "x"}, &error), 2) << what;
+    EXPECT_EQ(error, "--jobs needs a number, got 'x'") << what;
+    error.clear();
+    EXPECT_EQ(run(argv, {"--jobs"}, &error), 2) << what;
+    EXPECT_EQ(error, "--jobs needs a number, got ''") << what;
+  }
 }
 
 TEST(AnalyzeCli, FollowReadsAChunkedStreamFile) {

@@ -120,7 +120,9 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
     } else if (arg == "--poll") {
       polls = static_cast<int>(next_number(1));
     } else if (arg == "--jobs") {
-      next_number(0);  // accepted for old command lines; decode is single-threaded
+      if (!SkipJobsOption(argc, argv, &i, error)) {
+        return 2;
+      }
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--progress") {
@@ -294,11 +296,8 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
       }
     } else if (arg == "--json") {
       json = true;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      // Accepted for old command lines; decode is single-threaded.
-      std::uint64_t value = 0;
-      if (!ParseUint(argv[++i], &value)) {
-        *error = StrFormat("--jobs needs a number, got '%s'", argv[i]);
+    } else if (arg == "--jobs") {
+      if (!SkipJobsOption(argc, argv, &i, error)) {
         return 2;
       }
     } else if (arg == "--salvage") {
@@ -480,7 +479,9 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
                    static_cast<unsigned long long>(decoded.event_count),
                    static_cast<unsigned long long>(decoded.AnomalyTotal()));
     } else if (arg == "--jobs") {
-      next_number(0);  // accepted for old command lines; decode is single-threaded
+      if (!SkipJobsOption(argc, argv, &i, error)) {
+        return 2;
+      }
     } else if (arg == "--salvage") {
       // already consumed before the load
     } else {

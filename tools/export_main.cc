@@ -32,14 +32,10 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
       format = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      // Accepted for old command lines; decode is single-threaded.
-      std::uint64_t value = 0;
-      if (!ParseUint(argv[i + 1], &value)) {
-        *error = StrFormat("--jobs needs a number, got '%s'", argv[i + 1]);
+    } else if (arg == "--jobs") {
+      if (!SkipJobsOption(argc, argv, &i, error)) {
         return 2;
       }
-      ++i;
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--stats") {

@@ -44,6 +44,17 @@ bool LoadNamesFile(const std::string& path, TagFile* names, std::string* error) 
   return false;
 }
 
+bool SkipJobsOption(int argc, const char* const* argv, int* i, std::string* error) {
+  const char* value = *i + 1 < argc ? argv[*i + 1] : "";
+  std::uint64_t jobs = 0;
+  if (!ParseUint(value, &jobs)) {
+    *error = StrFormat("--jobs needs a number, got '%s'", value);
+    return false;
+  }
+  ++*i;
+  return true;
+}
+
 bool OpenCapture(const std::string& path, MappedFile* file, std::string* error) {
   std::vector<TraceDiag> diags;
   if (OpenCaptureFile(path, file, &diags)) {

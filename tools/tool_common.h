@@ -29,6 +29,12 @@ void AppendTraceDiags(const std::string& path, const std::vector<TraceDiag>& dia
 // file 'path'" followed by one "path:line: reason" line per problem.
 bool LoadNamesFile(const std::string& path, TagFile* names, std::string* error);
 
+// `--jobs N` is accepted, for old command lines, and ignored: decode is
+// single-threaded. Takes N, the argument after argv[*i], by advancing *i;
+// when N is missing or not a number, *error is "--jobs needs a number, got
+// '...'" and the result is false (a usage error).
+bool SkipJobsOption(int argc, const char* const* argv, int* i, std::string* error);
+
 // Maps a capture or stream file whole. On failure *error is "cannot load
 // capture 'path'" plus the reason.
 bool OpenCapture(const std::string& path, MappedFile* file, std::string* error);
