@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "src/base/assert.h"
@@ -79,48 +78,6 @@ const MetricValue* Snapshot::Find(const std::string& name) const {
 std::uint64_t Snapshot::CounterValue(const std::string& name) const {
   const MetricValue* m = Find(name);
   return (m != nullptr && m->kind == MetricKind::kCounter) ? m->count : 0;
-}
-
-void Snapshot::Merge(const Snapshot& other) {
-  for (const MetricValue& theirs : other.metrics) {
-    MetricValue* mine = nullptr;
-    for (MetricValue& m : metrics) {
-      if (m.name == theirs.name) {
-        mine = &m;
-        break;
-      }
-    }
-    if (mine == nullptr) {
-      metrics.push_back(theirs);
-      continue;
-    }
-    HWPROF_CHECK(mine->kind == theirs.kind);
-    switch (theirs.kind) {
-      case MetricKind::kCounter:
-        mine->count += theirs.count;
-        break;
-      case MetricKind::kGauge:
-        mine->value += theirs.value;
-        mine->peak = std::max(mine->peak, theirs.peak);
-        break;
-      case MetricKind::kHistogram:
-        if (theirs.count == 0) break;
-        mine->min_ns = mine->count == 0 ? theirs.min_ns
-                                        : std::min(mine->min_ns, theirs.min_ns);
-        mine->max_ns = std::max(mine->max_ns, theirs.max_ns);
-        mine->count += theirs.count;
-        mine->sum_ns += theirs.sum_ns;
-        for (int b = 0; b < kHistogramBuckets; ++b) {
-          mine->buckets[static_cast<std::size_t>(b)] +=
-              theirs.buckets[static_cast<std::size_t>(b)];
-        }
-        break;
-    }
-  }
-  std::sort(metrics.begin(), metrics.end(),
-            [](const MetricValue& a, const MetricValue& b) {
-              return a.name < b.name;
-            });
 }
 
 namespace {
@@ -213,36 +170,19 @@ std::string Snapshot::FormatJson() const {
 #if !defined(HWPROF_NO_TELEMETRY)
 
 namespace internal {
-
-struct GaugeCell {
-  std::atomic<std::int64_t> value{0};
-  std::atomic<std::int64_t> peak{0};
-};
-
 namespace {
 
-constexpr int kMaxMetrics = 256;
-
-// Per-thread storage: a flat counter array plus lazily allocated histogram
-// cells. Only the owning thread writes; snapshots read concurrently with
-// acquire loads on the cell pointers.
-struct ThreadSink {
-  std::array<std::atomic<std::uint64_t>, kMaxMetrics> counters{};
-  std::array<std::atomic<HistCell*>, kMaxMetrics> hists{};
-
-  ~ThreadSink() {
-    for (auto& h : hists) delete h.load(std::memory_order_relaxed);
-  }
+struct Metric {
+  explicit Metric(MetricKind k) : kind(k) {}
+  MetricKind kind;
+  Cell cell;
 };
 
+// Keyed by name, so a walk visits the metrics in snapshot order; map nodes
+// never move, so the cells handed out by Intern stay valid.
 struct Registry {
   std::mutex mu;
-  std::vector<std::string> names;
-  std::vector<MetricKind> kinds;
-  std::map<std::string, int> by_name;
-  std::vector<std::unique_ptr<ThreadSink>> sinks;
-  std::vector<std::unique_ptr<GaugeCell>> gauges;  // indexed by id; null
-                                                   // unless kind == gauge
+  std::map<std::string, Metric> metrics;
 };
 
 Registry& GetRegistry() {
@@ -250,74 +190,31 @@ Registry& GetRegistry() {
   return *r;
 }
 
-thread_local ThreadSink* t_sink = nullptr;
-
-ThreadSink& Sink() {
-  if (t_sink == nullptr) {
-    Registry& r = GetRegistry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.sinks.push_back(std::make_unique<ThreadSink>());
-    t_sink = r.sinks.back().get();
-  }
-  return *t_sink;
-}
-
 }  // namespace
 
-int Intern(const char* name, MetricKind kind) {
+Cell* Intern(const char* name, MetricKind kind) {
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
-  auto it = r.by_name.find(name);
-  if (it != r.by_name.end()) {
-    HWPROF_CHECK(r.kinds[static_cast<std::size_t>(it->second)] == kind);
-    return it->second;
-  }
-  const int id = static_cast<int>(r.names.size());
-  HWPROF_CHECK(id < kMaxMetrics);
-  r.names.emplace_back(name);
-  r.kinds.push_back(kind);
-  r.gauges.push_back(kind == MetricKind::kGauge ? std::make_unique<GaugeCell>()
-                                                : nullptr);
-  r.by_name.emplace(name, id);
-  return id;
-}
-
-std::atomic<std::uint64_t>& CounterCell(int id) {
-  return Sink().counters[static_cast<std::size_t>(id)];
-}
-
-HistCell& HistogramCell(int id) {
-  auto& slot = Sink().hists[static_cast<std::size_t>(id)];
-  HistCell* cell = slot.load(std::memory_order_relaxed);
-  if (cell == nullptr) {
-    cell = new HistCell();
-    slot.store(cell, std::memory_order_release);
-  }
-  return *cell;
-}
-
-GaugeCell* GaugeCellPtr(int id) {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  GaugeCell* cell = r.gauges[static_cast<std::size_t>(id)].get();
-  HWPROF_CHECK(cell != nullptr);
-  return cell;
-}
-
-void GaugeAdd(GaugeCell* cell, std::int64_t delta) {
-  const std::int64_t now =
-      cell->value.fetch_add(delta, std::memory_order_relaxed) + delta;
-  std::int64_t peak = cell->peak.load(std::memory_order_relaxed);
-  while (now > peak && !cell->peak.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
+  Metric& metric = r.metrics.try_emplace(name, kind).first->second;
+  HWPROF_CHECK(metric.kind == kind);
+  return &metric.cell;
 }
 
 }  // namespace internal
 
+void Gauge::Add(std::int64_t delta) {
+  if (!Enabled()) return;
+  const std::int64_t now =
+      cell_->value.fetch_add(delta, std::memory_order_relaxed) + delta;
+  std::int64_t peak = cell_->peak.load(std::memory_order_relaxed);
+  while (now > peak && !cell_->peak.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
+  }
+}
+
 void LatencyHistogram::RecordNs(std::uint64_t ns) {
   if (!Enabled()) return;
-  internal::HistCell& cell = internal::HistogramCell(id_);
+  internal::Cell& cell = *cell_;
   cell.count.fetch_add(1, std::memory_order_relaxed);
   cell.sum.fetch_add(ns, std::memory_order_relaxed);
   std::uint64_t seen = cell.min.load(std::memory_order_relaxed);
@@ -335,72 +232,42 @@ Snapshot GlobalSnapshot() {
   internal::Registry& r = internal::GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   Snapshot snap;
-  snap.metrics.reserve(r.names.size());
-  for (std::size_t id = 0; id < r.names.size(); ++id) {
+  snap.metrics.reserve(r.metrics.size());
+  for (const auto& [name, metric] : r.metrics) {
+    const internal::Cell& cell = metric.cell;
     MetricValue m;
-    m.name = r.names[id];
-    m.kind = r.kinds[id];
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        for (const auto& sink : r.sinks) {
-          m.count += sink->counters[id].load(std::memory_order_relaxed);
-        }
-        break;
-      case MetricKind::kGauge: {
-        const internal::GaugeCell* cell = r.gauges[id].get();
-        m.value = cell->value.load(std::memory_order_relaxed);
-        m.peak = cell->peak.load(std::memory_order_relaxed);
-        break;
+    m.name = name;
+    m.kind = metric.kind;
+    // Fields a kind does not use stay zero. An empty histogram's min holds
+    // its sentinel, so histogram stats are read only once there is a sample.
+    m.count = cell.count.load(std::memory_order_relaxed);
+    m.value = cell.value.load(std::memory_order_relaxed);
+    m.peak = cell.peak.load(std::memory_order_relaxed);
+    if (m.kind == MetricKind::kHistogram && m.count != 0) {
+      m.sum_ns = cell.sum.load(std::memory_order_relaxed);
+      m.min_ns = cell.min.load(std::memory_order_relaxed);
+      m.max_ns = cell.max.load(std::memory_order_relaxed);
+      for (std::size_t b = 0; b < m.buckets.size(); ++b) {
+        m.buckets[b] = cell.buckets[b].load(std::memory_order_relaxed);
       }
-      case MetricKind::kHistogram:
-        for (const auto& sink : r.sinks) {
-          const internal::HistCell* cell =
-              sink->hists[id].load(std::memory_order_acquire);
-          if (cell == nullptr) continue;
-          const std::uint64_t n = cell->count.load(std::memory_order_relaxed);
-          if (n == 0) continue;
-          const std::uint64_t lo = cell->min.load(std::memory_order_relaxed);
-          m.min_ns = m.count == 0 ? lo : std::min(m.min_ns, lo);
-          m.max_ns = std::max(m.max_ns,
-                              cell->max.load(std::memory_order_relaxed));
-          m.count += n;
-          m.sum_ns += cell->sum.load(std::memory_order_relaxed);
-          for (int b = 0; b < kHistogramBuckets; ++b) {
-            m.buckets[static_cast<std::size_t>(b)] +=
-                cell->buckets[static_cast<std::size_t>(b)].load(
-                    std::memory_order_relaxed);
-          }
-        }
-        break;
     }
     snap.metrics.push_back(std::move(m));
   }
-  std::sort(snap.metrics.begin(), snap.metrics.end(),
-            [](const MetricValue& a, const MetricValue& b) {
-              return a.name < b.name;
-            });
   return snap;
 }
 
 void ResetTelemetry() {
   internal::Registry& r = internal::GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& sink : r.sinks) {
-    for (auto& c : sink->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& slot : sink->hists) {
-      internal::HistCell* cell = slot.load(std::memory_order_relaxed);
-      if (cell == nullptr) continue;
-      cell->count.store(0, std::memory_order_relaxed);
-      cell->sum.store(0, std::memory_order_relaxed);
-      cell->min.store(~std::uint64_t{0}, std::memory_order_relaxed);
-      cell->max.store(0, std::memory_order_relaxed);
-      for (auto& b : cell->buckets) b.store(0, std::memory_order_relaxed);
-    }
-  }
-  for (auto& g : r.gauges) {
-    if (g == nullptr) continue;
-    g->value.store(0, std::memory_order_relaxed);
-    g->peak.store(0, std::memory_order_relaxed);
+  for (auto& entry : r.metrics) {
+    internal::Cell& cell = entry.second.cell;
+    cell.count.store(0, std::memory_order_relaxed);
+    cell.value.store(0, std::memory_order_relaxed);
+    cell.peak.store(0, std::memory_order_relaxed);
+    cell.sum.store(0, std::memory_order_relaxed);
+    cell.min.store(~std::uint64_t{0}, std::memory_order_relaxed);
+    cell.max.store(0, std::memory_order_relaxed);
+    for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -2,17 +2,14 @@
 // scoped spans for observing the capture->decode->analyze toolchain itself.
 //
 // Design constraints (DESIGN.md §10):
-//  - Dependency-free: standard library only, no allocation on the hot path
-//    after a metric's first touch from a given thread.
-//  - Lock-free updates: counter and histogram updates land in per-thread
-//    sinks as relaxed atomics; the registry mutex is taken only on first
-//    touch (cell creation), on snapshot, and on reset.
-//  - Deterministic snapshot/merge: a snapshot sums per-thread cells with
-//    associative, commutative reductions (sum / min / max) and sorts by
-//    metric name, so the rendered output is independent of thread count and
-//    scheduling. Gauges are the one deliberate deviation: a gauge tracks a
-//    *level* (e.g. queue depth), and per-thread deltas cannot reconstruct a
-//    global peak, so each gauge is a single shared atomic cell.
+//  - Dependency-free: standard library only, no allocation on the hot path.
+//  - One shared cell per metric: registration makes the metric's cell once,
+//    and every update from any thread is a relaxed atomic on that cell. No
+//    state is kept per thread, so a thread that exits leaves nothing behind.
+//    The registry mutex is taken only on registration, snapshot and reset.
+//  - Deterministic snapshot: a snapshot reads each cell once and lists the
+//    metrics sorted by name, so the rendered output is independent of thread
+//    count and scheduling.
 //  - Compile-out: building with -DHWPROF_NO_TELEMETRY stubs every update to
 //    nothing so the cost can itself be measured (bench_telemetry_overhead).
 //    A runtime kill-switch (SetEnabled(false)) covers in-binary comparisons.
@@ -57,7 +54,7 @@ const std::array<std::uint64_t, kHistogramBuckets - 1>& HistogramBoundsNs();
 // bucket. The one ladder rule for live histograms and hand-built ladders.
 std::size_t HistogramBucket(std::uint64_t ns);
 
-// One merged metric as rendered by a snapshot. Field use depends on kind:
+// One metric as rendered by a snapshot. Field use depends on kind:
 //   counter:   count
 //   gauge:     value, peak
 //   histogram: count, sum_ns, min_ns, max_ns, buckets
@@ -80,11 +77,6 @@ struct Snapshot {
   const MetricValue* Find(const std::string& name) const;
   std::uint64_t CounterValue(const std::string& name) const;
 
-  // Folds `other` into this snapshot: counters and histograms add, gauge
-  // values add and peaks take the max. Associative and commutative, so any
-  // merge order yields the same result.
-  void Merge(const Snapshot& other);
-
   // Deterministic human-readable block, each line indented by `indent`.
   std::string FormatText(int indent) const;
   // Deterministic JSON array (one object per metric).
@@ -95,7 +87,7 @@ struct Snapshot {
 bool Enabled();
 void SetEnabled(bool enabled);
 
-// Sums all per-thread sinks into a sorted snapshot.
+// Reads every registered metric into a snapshot sorted by name.
 Snapshot GlobalSnapshot();
 
 // Zeroes every metric value (registrations survive). Callers must be
@@ -112,61 +104,56 @@ std::uint64_t SpanClock();
 
 namespace internal {
 
-struct HistCell {
+// One metric's shared storage, made once at registration and never freed.
+// A counter uses `count`; a gauge `value` and `peak`; a histogram `count`,
+// `sum`, `min`, `max` and `buckets`.
+struct Cell {
   std::atomic<std::uint64_t> count{0};
+  std::atomic<std::int64_t> value{0};
+  std::atomic<std::int64_t> peak{0};
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> min{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max{0};
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
 };
 
-struct GaugeCell;
-
-// Registers `name` (idempotent) and returns its stable id. Aborts on a
-// kind mismatch or on registry exhaustion — both are programming errors.
-int Intern(const char* name, MetricKind kind);
-
-std::atomic<std::uint64_t>& CounterCell(int id);
-HistCell& HistogramCell(int id);
-GaugeCell* GaugeCellPtr(int id);
-void GaugeAdd(GaugeCell* cell, std::int64_t delta);
+// Registers `name` (idempotent) and returns its cell. Aborts on a kind
+// mismatch, which is a programming error.
+Cell* Intern(const char* name, MetricKind kind);
 
 }  // namespace internal
 
 class Counter {
  public:
   explicit Counter(const char* name)
-      : id_(internal::Intern(name, MetricKind::kCounter)) {}
+      : cell_(internal::Intern(name, MetricKind::kCounter)) {}
   void Add(std::uint64_t n = 1) {
     if (!Enabled()) return;
-    internal::CounterCell(id_).fetch_add(n, std::memory_order_relaxed);
+    cell_->count.fetch_add(n, std::memory_order_relaxed);
   }
 
  private:
-  int id_;
+  internal::Cell* cell_;
 };
 
 class Gauge {
  public:
   explicit Gauge(const char* name)
-      : cell_(internal::GaugeCellPtr(internal::Intern(name, MetricKind::kGauge))) {}
-  void Add(std::int64_t delta) {
-    if (!Enabled()) return;
-    internal::GaugeAdd(cell_, delta);
-  }
+      : cell_(internal::Intern(name, MetricKind::kGauge)) {}
+  void Add(std::int64_t delta);
 
  private:
-  internal::GaugeCell* cell_;
+  internal::Cell* cell_;
 };
 
 class LatencyHistogram {
  public:
   explicit LatencyHistogram(const char* name)
-      : id_(internal::Intern(name, MetricKind::kHistogram)) {}
+      : cell_(internal::Intern(name, MetricKind::kHistogram)) {}
   void RecordNs(std::uint64_t ns);
 
  private:
-  int id_;
+  internal::Cell* cell_;
 };
 
 class ScopedSpan {
@@ -217,7 +204,7 @@ class ScopedSpan {
 }  // namespace hwprof
 
 // Each macro expands inside its own block, so the function-local static
-// handle resolves the registry id exactly once per site.
+// handle resolves the metric's cell exactly once per site.
 #define OBS_COUNT(name, n)                       \
   do {                                           \
     static ::hwprof::obs::Counter obs_c_(name);  \

@@ -53,9 +53,16 @@ std::string RawTrace::Serialize() const {
   }
   out += "\n";
   for (const RawEvent& e : events) {
-    out += StrFormat("%u %u\n", e.tag, e.timestamp);
+    AppendEventText(e, &out);
   }
   return out;
+}
+
+void AppendEventText(const RawEvent& e, std::string* out) {
+  AppendUint(e.tag, out);
+  out->push_back(' ');
+  AppendUint(e.timestamp, out);
+  out->push_back('\n');
 }
 
 }  // namespace hwprof

@@ -105,6 +105,10 @@ struct RawTrace {
   std::string Serialize() const;
 };
 
+// Appends one "<tag> <timestamp>\n" record line, the event line of text
+// captures and text stream files.
+void AppendEventText(const RawEvent& e, std::string* out);
+
 }  // namespace hwprof
 
 #endif  // HWPROF_SRC_PROFHW_RAW_TRACE_H_

@@ -111,7 +111,7 @@ std::string StreamChunkText(const TraceChunk& chunk) {
       StrFormat("chunk %zu %llu\n", chunk.events.size(),
                 static_cast<unsigned long long>(chunk.dropped_before));
   for (const RawEvent& e : chunk.events) {
-    text += StrFormat("%u %u\n", e.tag, e.timestamp);
+    AppendEventText(e, &text);
   }
   return text;
 }

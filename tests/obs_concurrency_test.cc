@@ -1,10 +1,10 @@
 // Telemetry under real concurrency, built to run under TSan (CI's
 // tests-tsan job includes this binary): the SetEnabled kill-switch flipped
-// while worker threads are mid-span, per-thread sink merges that must be
-// deterministic regardless of scheduling, gauge peak tracking under
-// contention, and the TimeSeriesStore ring mutated and windowed from
-// different threads. The registry is process-global, so every test resets
-// it and namespaces its metric names.
+// while worker threads are mid-span, shared cells that must be exact
+// regardless of scheduling, threads that exit while the registry is read,
+// gauge peak tracking under contention, and the TimeSeriesStore ring
+// mutated and windowed from different threads. The registry is
+// process-global, so every test resets it and namespaces its metric names.
 
 #include <gtest/gtest.h>
 
@@ -75,9 +75,9 @@ TEST_F(ObsConcurrencyTest, KillSwitchFlippedMidSpanIsSafe) {
   }
 }
 
-TEST_F(ObsConcurrencyTest, SinkMergeIsDeterministicAcrossSchedules) {
+TEST_F(ObsConcurrencyTest, SharedCellsAreExactAcrossSchedules) {
   // Each thread contributes a known amount; whatever the interleaving, the
-  // merged snapshot is exact and two snapshots of the same quiescent state
+  // snapshot is exact and two snapshots of the same quiescent state
   // render byte-identically.
   constexpr int kThreads = 8;
   constexpr int kIters = 5000;
@@ -107,6 +107,49 @@ TEST_F(ObsConcurrencyTest, SinkMergeIsDeterministicAcrossSchedules) {
   EXPECT_EQ(hist->max_ns, 500u + 1000u * (kThreads - 1));
   EXPECT_EQ(snap.FormatJson(), GlobalSnapshot().FormatJson());
   EXPECT_EQ(snap.FormatText(2), GlobalSnapshot().FormatText(2));
+}
+
+TEST_F(ObsConcurrencyTest, ShortLivedThreadsLeaveExactTotals) {
+  // Batches of threads update every metric kind and exit while the main
+  // thread snapshots. What an exited thread added stays in the metric's
+  // shared cell, so the totals after the last join are exact.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 16;
+  constexpr int kIters = 50;
+  constexpr std::uint64_t kSampleNs = 2'000;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([] {
+        for (int i = 0; i < kIters; ++i) {
+          OBS_COUNT("conc.short.counter", 1);
+          OBS_GAUGE_ADD("conc.short.gauge", 1);
+          OBS_HIST_NS("conc.short.hist", kSampleNs);
+        }
+      });
+    }
+    const Snapshot during = GlobalSnapshot();
+    EXPECT_LE(during.CounterValue("conc.short.counter"),
+              static_cast<std::uint64_t>(round + 1) * kThreads * kIters);
+    for (std::thread& w : workers) {
+      w.join();
+    }
+  }
+  const std::uint64_t total = static_cast<std::uint64_t>(kRounds) * kThreads * kIters;
+  const Snapshot snap = GlobalSnapshot();
+  EXPECT_EQ(snap.CounterValue("conc.short.counter"), total);
+  const MetricValue* gauge = snap.Find("conc.short.gauge");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value, static_cast<std::int64_t>(total));
+  EXPECT_EQ(gauge->peak, static_cast<std::int64_t>(total));
+  const MetricValue* hist = snap.Find("conc.short.hist");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count, total);
+  EXPECT_EQ(hist->sum_ns, total * kSampleNs);
+  EXPECT_EQ(hist->min_ns, kSampleNs);
+  EXPECT_EQ(hist->max_ns, kSampleNs);
+  EXPECT_EQ(hist->buckets[HistogramBucket(kSampleNs)], total);
 }
 
 TEST_F(ObsConcurrencyTest, GaugePeakUnderContentionIsBounded) {

@@ -1,5 +1,5 @@
 // src/obs telemetry: counter/gauge/histogram semantics, scoped and manual
-// spans, per-thread sink merging, snapshot determinism, the runtime
+// spans, updates from several threads, snapshot determinism, the runtime
 // kill-switch, and reset. The registry is process-global, so every test
 // resets it and uses metric names namespaced by the test.
 
@@ -142,35 +142,6 @@ TEST_F(ObsTest, SnapshotIsSortedAndFormatIsDeterministic) {
   EXPECT_EQ(snap.FormatJson(), GlobalSnapshot().FormatJson());
   EXPECT_NE(snap.FormatText(0).find("test.a_first"), std::string::npos);
   EXPECT_NE(snap.FormatJson().find("\"test.m_mid\""), std::string::npos);
-}
-
-TEST_F(ObsTest, MergeIsCommutative) {
-  OBS_COUNT("test.merge_c", 3);
-  OBS_GAUGE_ADD("test.merge_g", 5);
-  OBS_HIST_NS("test.merge_h", 10'000);
-  const Snapshot a = GlobalSnapshot();
-  ResetTelemetry();
-  OBS_COUNT("test.merge_c", 4);
-  OBS_GAUGE_ADD("test.merge_g", -2);
-  OBS_HIST_NS("test.merge_h", 20'000);
-  const Snapshot b = GlobalSnapshot();
-
-  Snapshot ab = a;
-  ab.Merge(b);
-  Snapshot ba = b;
-  ba.Merge(a);
-  EXPECT_EQ(ab.FormatText(0), ba.FormatText(0));
-  EXPECT_EQ(ab.CounterValue("test.merge_c"), 7u);
-  const MetricValue* g = ab.Find("test.merge_g");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->value, 3);
-  EXPECT_EQ(g->peak, 5);
-  const MetricValue* h = ab.Find("test.merge_h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2u);
-  EXPECT_EQ(h->sum_ns, 30'000u);
-  EXPECT_EQ(h->min_ns, 10'000u);
-  EXPECT_EQ(h->max_ns, 20'000u);
 }
 
 TEST_F(ObsTest, KillSwitchSuppressesUpdates) {

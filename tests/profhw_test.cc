@@ -209,6 +209,32 @@ TEST(RawTrace, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(loaded.overflowed, trace.overflowed);
 }
 
+TEST(RawTrace, TextFormIsPinnedAtTheFieldExtremes) {
+  RawTrace trace;
+  trace.timer_bits = 32;
+  trace.timer_clock_hz = 1'000'000;
+  trace.dropped_events = 7;
+  trace.capture_elapsed_ns = 123'456'789;
+  trace.events = {{0, 0}, {65535, 4294967295u}, {502, 100}};
+  EXPECT_EQ(trace.Serialize(),
+            "hwprof-raw v1 32 1000000 0 dropped=7 elapsed=123456789\n"
+            "0 0\n"
+            "65535 4294967295\n"
+            "502 100\n");
+
+  StreamCapture stream;
+  stream.timer_bits = 32;
+  stream.chunks = {TraceChunk{{{0, 0}, {65535, 4294967295u}}, 0},
+                   TraceChunk{{{502, 100}}, 18446744073709551615u}};
+  EXPECT_EQ(SerializeStreamText(stream),
+            "hwprof-stream v1 32 1000000\n"
+            "chunk 2 0\n"
+            "0 0\n"
+            "65535 4294967295\n"
+            "chunk 1 18446744073709551615\n"
+            "502 100\n");
+}
+
 TEST(RawTrace, RoundTripRandomised) {
   Rng rng(1993);
   for (int round = 0; round < 40; ++round) {

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
@@ -149,6 +152,30 @@ TEST(AnalyzeCli, ErrorsAreReported) {
   error.clear();
   EXPECT_NE(RunCli({files.capture.c_str(), files.names.c_str(), "--bogus"}, &error), 0);
   EXPECT_NE(error.find("unknown option"), std::string::npos);
+}
+
+TEST(AnalyzeCli, UsageErrorsPrintNoReport) {
+  // Options are checked before the decode, so a usage error after a report
+  // option exits 2 without printing that report.
+  const CliFiles files = WriteSessionFiles();
+  const char* capture = files.capture.c_str();
+  const char* names = files.names.c_str();
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases = {
+      {{"--summary", "2", "--jobs", "x"}, "--jobs needs a number, got 'x'"},
+      {{"--summary", "2", "--bogus"}, "unknown option '--bogus'"},
+      {{"--summary", "2", "--histogram"}, "--histogram needs a function name"},
+  };
+  for (const auto& [options, message] : cases) {
+    std::vector<const char*> argv = {"hwprof_analyze", capture, names};
+    argv.insert(argv.end(), options.begin(), options.end());
+    std::string error;
+    ::testing::internal::CaptureStdout();
+    const int rc = AnalyzeMain(static_cast<int>(argv.size()), argv.data(), &error);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 2) << message;
+    EXPECT_EQ(error, message);
+    EXPECT_EQ(out, "") << message;
+  }
 }
 
 TEST(AnalyzeCli, JobsIsParsedOneWayByEveryEntryPoint) {

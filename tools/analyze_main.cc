@@ -4,7 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
@@ -367,34 +370,97 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     }
   }
 
-  // `--salvage` and what the reports read are resolved before decoding; the
-  // options are consumed by the report loop below. When every report is
+  // Every option is checked, and what the reports read is resolved, before
+  // decoding, so a usage error prints no report. When every report is
   // stats-only the decode keeps no structure. `--callgraph`, `--histogram`
   // and `--processes` read the calling-context trees, and `--trace N` the
-  // steps of its first N lines (every step for N = 0).
+  // steps of its first N lines (every step for N = 0). The reports run in
+  // command-line order once the decode is done.
+  DecodedTrace decoded;
+  std::vector<std::function<void()>> reports;
   bool salvage = false;
+  bool progress = false;
+  bool stats = false;
+  bool stats_json = false;
   StreamingOptions keep{.retain_structure = false, .step_lines = 0};
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--salvage") {
-      salvage = true;
-    } else if (arg == "--callgraph" || arg == "--processes") {
-      keep.retain_structure = true;
-    } else if (arg == "--histogram") {
-      keep.retain_structure = true;
-      ++i;  // the function name
-    } else if (arg == "--trace") {
-      keep.retain_structure = true;
-      std::uint64_t lines = 60;  // the report loop's default
-      if (i + 1 < argc && ParseUint(argv[i + 1], &lines)) {
-        ++i;
+    auto next_number = [&](std::size_t fallback) -> std::size_t {
+      if (i + 1 < argc) {
+        std::uint64_t value = 0;
+        if (ParseUint(argv[i + 1], &value)) {
+          ++i;
+          return static_cast<std::size_t>(value);
+        }
       }
-      keep.step_lines =
-          lines == 0 ? kAllSteps : std::max(keep.step_lines, static_cast<std::size_t>(lines));
+      return fallback;
+    };
+    if (arg == "--summary") {
+      const std::size_t rows = next_number(20);
+      reports.push_back(
+          [&decoded, rows] { std::printf("%s\n", Summary(decoded).Format(rows).c_str()); });
+    } else if (arg == "--trace") {
+      TraceReportOptions opts;
+      opts.max_lines = next_number(60);
+      keep.retain_structure = true;
+      keep.step_lines = opts.max_lines == 0 ? kAllSteps
+                                            : std::max(keep.step_lines, opts.max_lines);
+      reports.push_back([&decoded, opts] {
+        std::printf("%s\n", TraceReport::Format(decoded, opts).c_str());
+      });
+    } else if (arg == "--callgraph") {
+      const std::size_t rows = next_number(10);
+      keep.retain_structure = true;
+      reports.push_back([&decoded, rows] {
+        std::printf("%s", CallGraph(decoded).Format(decoded, rows).c_str());
+      });
+    } else if (arg == "--histogram") {
+      if (i + 1 >= argc) {
+        *error = "--histogram needs a function name";
+        return 2;
+      }
+      const std::string fn = argv[++i];
+      keep.retain_structure = true;
+      reports.push_back([&decoded, fn] {
+        std::printf("%s\n", Histogram::ForFunction(decoded, fn).Format(fn).c_str());
+      });
+    } else if (arg == "--processes") {
+      keep.retain_structure = true;
+      reports.push_back([&decoded] {
+        ProcessReport report(decoded);
+        std::printf("%s\n", report.Format(decoded).c_str());
+      });
+    } else if (arg == "--spl") {
+      reports.push_back([&decoded] {
+        Grouping grouping(decoded, Grouping::SplGroup(decoded));
+        std::printf("%s\n", grouping.Format().c_str());
+      });
+    } else if (arg == "--groups") {
+      // Per-abstraction profile from the names file's group= annotations.
+      reports.push_back([&decoded, &names] {
+        Grouping grouping(decoded, names.GroupsByName());
+        std::printf("%s\n", grouping.Format().c_str());
+      });
+    } else if (arg == "--json") {
+      reports.push_back([&decoded] { std::printf("%s", FormatJson(decoded).c_str()); });
+    } else if (arg == "--stats") {
+      stats = true;
+    } else if (arg == "--stats-json") {
+      stats_json = true;
+    } else if (arg == "--progress") {
+      progress = true;
+    } else if (arg == "--jobs") {
+      if (!SkipJobsOption(argc, argv, &i, error)) {
+        return 2;
+      }
+    } else if (arg == "--salvage") {
+      salvage = true;
+    } else {
+      *error = StrFormat("unknown option '%s'", arg.c_str());
+      return 2;
     }
   }
 
-  DecodedTrace decoded;
   {
     // Report an unreadable capture before any names-file problem.
     MappedFile file;
@@ -415,81 +481,17 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
                  "warning: %llu events carried tags missing from the names file\n",
                  static_cast<unsigned long long>(decoded.unknown_tags));
   }
-
-  bool did_something = false;
-  bool stats = false;
-  bool stats_json = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_number = [&](std::size_t fallback) -> std::size_t {
-      if (i + 1 < argc) {
-        std::uint64_t value = 0;
-        if (ParseUint(argv[i + 1], &value)) {
-          ++i;
-          return static_cast<std::size_t>(value);
-        }
-      }
-      return fallback;
-    };
-    if (arg == "--summary") {
-      std::printf("%s\n", Summary(decoded).Format(next_number(20)).c_str());
-      did_something = true;
-    } else if (arg == "--trace") {
-      TraceReportOptions opts;
-      opts.max_lines = next_number(60);
-      std::printf("%s\n", TraceReport::Format(decoded, opts).c_str());
-      did_something = true;
-    } else if (arg == "--callgraph") {
-      std::printf("%s", CallGraph(decoded).Format(decoded, next_number(10)).c_str());
-      did_something = true;
-    } else if (arg == "--histogram") {
-      if (i + 1 >= argc) {
-        *error = "--histogram needs a function name";
-        return 2;
-      }
-      const std::string fn = argv[++i];
-      std::printf("%s\n", Histogram::ForFunction(decoded, fn).Format(fn).c_str());
-      did_something = true;
-    } else if (arg == "--processes") {
-      ProcessReport report(decoded);
-      std::printf("%s\n", report.Format(decoded).c_str());
-      did_something = true;
-    } else if (arg == "--spl") {
-      Grouping grouping(decoded, Grouping::SplGroup(decoded));
-      std::printf("%s\n", grouping.Format().c_str());
-      did_something = true;
-    } else if (arg == "--groups") {
-      // Per-abstraction profile from the names file's group= annotations.
-      Grouping grouping(decoded, names.GroupsByName());
-      std::printf("%s\n", grouping.Format().c_str());
-      did_something = true;
-    } else if (arg == "--json") {
-      std::printf("%s", FormatJson(decoded).c_str());
-      did_something = true;
-    } else if (arg == "--stats") {
-      stats = true;
-      did_something = true;
-    } else if (arg == "--stats-json") {
-      stats_json = true;
-      did_something = true;
-    } else if (arg == "--progress") {
-      // One post-decode heartbeat on stderr (batch decodes have no chunk
-      // loop to beat along with); stdout report output is untouched.
-      std::fprintf(stderr, "progress: %llu events, %llu anomalies (decoded)\n",
-                   static_cast<unsigned long long>(decoded.event_count),
-                   static_cast<unsigned long long>(decoded.AnomalyTotal()));
-    } else if (arg == "--jobs") {
-      if (!SkipJobsOption(argc, argv, &i, error)) {
-        return 2;
-      }
-    } else if (arg == "--salvage") {
-      // already consumed before the load
-    } else {
-      *error = StrFormat("unknown option '%s'", arg.c_str());
-      return 2;
-    }
+  if (progress) {
+    // One post-decode heartbeat on stderr (batch decodes have no chunk
+    // loop to beat along with); stdout report output is untouched.
+    std::fprintf(stderr, "progress: %llu events, %llu anomalies (decoded)\n",
+                 static_cast<unsigned long long>(decoded.event_count),
+                 static_cast<unsigned long long>(decoded.AnomalyTotal()));
   }
-  if (!did_something) {
+  for (const std::function<void()>& report : reports) {
+    report();
+  }
+  if (reports.empty() && !stats && !stats_json) {
     std::printf("%s\n", Summary(decoded).Format(20).c_str());
   }
   PrintTelemetry(stats, stats_json);
